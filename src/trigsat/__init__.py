@@ -6,93 +6,4 @@ resolution selection function; when the theory is saturated and the run
 halts with a model, the answer is a certified `sat` rather than `unknown`.
 """
 
-from .cdcl import Budgets, RunResult, Solver, Trail, Verdict, sort_clause
-from .models import (
-    Interpretation,
-    ProductionRecord,
-    combine,
-    filter_clause,
-    filter_set,
-    filtered_ground_instances,
-    int_of,
-    produce_model,
-    verify_no_falsified,
-)
-from .ordering import (
-    Comparison,
-    OrderingSpec,
-    compare_atoms,
-    compare_clauses,
-    compare_literals,
-    maximal_literals,
-    maximum_literal,
-)
-from .parser import ParseError, Problem, format_clause, parse_problem
-from .pipeline import (
-    ContractError,
-    SolveOptions,
-    SolveResult,
-    build_selection,
-    check_problem_saturated,
-    check_problem_selection,
-    solve_problem,
-    verify_model,
-)
-from .saturation import (
-    InferenceBudget,
-    InvalidSelectionError,
-    SaturationOutcome,
-    SaturationReport,
-    check_saturated,
-    factor,
-    is_tautology,
-    resolve,
-    saturate,
-    subsumes,
-)
-from .selection import (
-    SelectionError,
-    ValidationResult,
-    auto_select,
-    extend_selection,
-    validate_selection,
-)
-from .terms import (
-    App,
-    Atom,
-    Clause,
-    Literal,
-    Signature,
-    Substitution,
-    Term,
-    Var,
-    apply,
-    clause,
-    const,
-    enumerate_ground_instances,
-    fn,
-    ground_terms,
-    match_onto,
-    unify,
-    vars_of,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "App", "Atom", "Budgets", "Clause", "Comparison", "ContractError",
-    "InferenceBudget", "Interpretation", "InvalidSelectionError", "Literal",
-    "OrderingSpec", "ParseError", "Problem", "ProductionRecord", "RunResult",
-    "SaturationOutcome", "SaturationReport", "SelectionError", "Signature",
-    "Solver", "SolveOptions", "SolveResult", "Substitution", "Term", "Trail",
-    "ValidationResult", "Var", "Verdict", "apply", "auto_select",
-    "build_selection", "check_problem_saturated", "check_problem_selection",
-    "check_saturated", "clause", "combine", "compare_atoms", "compare_clauses",
-    "compare_literals", "const", "enumerate_ground_instances",
-    "extend_selection", "factor", "filter_clause", "filter_set",
-    "filtered_ground_instances", "fn", "format_clause", "ground_terms",
-    "int_of", "is_tautology", "match_onto", "maximal_literals",
-    "maximum_literal", "parse_problem", "produce_model", "resolve",
-    "saturate", "solve_problem", "sort_clause", "subsumes", "unify",
-    "validate_selection", "vars_of", "verify_model", "verify_no_falsified",
-]

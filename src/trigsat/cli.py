@@ -200,17 +200,13 @@ def _cmd_check_saturation(args: argparse.Namespace) -> int:
 def _cmd_check_selection(args: argparse.Namespace) -> int:
     problem = _read_problem(args.file)
     options = _options_from(args)
-    checks = check_problem_selection(problem, options)
     bad = 0
-    for check in checks:
-        if check.valid:
-            print(f"valid: {format_clause(check.clause)}")
+    for c, result in check_problem_selection(problem, options):
+        if result:
+            print(f"valid: {format_clause(c)}")
         else:
             bad += 1
-            where = (f" (witness positions {list(check.witness)})"
-                     if check.witness else "")
-            print(f"invalid: {format_clause(check.clause)} -- "
-                  f"{check.reason}{where}")
+            print(f"invalid: {format_clause(c)} -- {result.describe()}")
     return 0 if bad == 0 else 2
 
 

@@ -49,14 +49,6 @@ class Comparison(Enum):
     INCOMPARABLE = "incomparable"
 
 
-def flip(c: Comparison) -> Comparison:
-    if c is Comparison.LT:
-        return Comparison.GT
-    if c is Comparison.GT:
-        return Comparison.LT
-    return c
-
-
 @dataclass(frozen=True)
 class OrderingSpec:
     kind: str = "weight"  # "weight" | "subterm"

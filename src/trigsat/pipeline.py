@@ -5,7 +5,8 @@ under a valid selection, so `solve_problem` saturates first and refuses to
 continue otherwise unless explicitly allowed.  Saturating an annotated
 problem may derive new clauses; how those get a selection is controlled by
 `extend_select` (`error` refuses, which keeps annotated trigger choices
-honest).
+honest).  `verify_model` goes through the same preparation, so the
+candidate model it builds comes from the theory the certificate is about.
 """
 
 from __future__ import annotations
@@ -27,13 +28,17 @@ from .ordering import OrderingSpec
 from .parser import Problem
 from .saturation import (
     InferenceBudget,
-    InvalidSelectionError,
     SaturationOutcome,
     SaturationReport,
     check_saturated,
     saturate,
 )
-from .selection import SelectionError, auto_select, validate_selection
+from .selection import (
+    SelectionError,
+    ValidationResult,
+    auto_select,
+    check_selection,
+)
 from .terms import Clause, Literal
 
 
@@ -75,64 +80,77 @@ class SolveResult:
         return self.run.verdict.model if self.run else ()
 
 
+def clause_selection(problem: Problem, options: SolveOptions, c: Clause
+                     ) -> tuple[frozenset[int], ValidationResult]:
+    """Pick c's selection (its annotation or the --select strategy) and
+    validate it; every failure comes back as an invalid result."""
+    o = options.ordering
+    if options.select != "annotated":
+        try:
+            sel = auto_select(c, o, options.select)
+        except (SelectionError, ValueError) as exc:  # ValueError: over the cap
+            return frozenset(), ValidationResult(False, None, str(exc))
+    elif c.cid in problem.selection:
+        sel = problem.selection[c.cid]
+    else:
+        return frozenset(), ValidationResult(
+            False, None, "clause has no selection annotation (use --select "
+                         "to pick an automatic strategy)")
+    return sel, check_selection(c, sel, o)
+
+
 def build_selection(problem: Problem,
                     options: SolveOptions) -> dict[int, frozenset[int]]:
     """Selection for every theory clause, validated under the ordering."""
-    o = options.ordering
     out: dict[int, frozenset[int]] = {}
     for c in problem.theory:
-        if options.select == "annotated":
-            if c.cid not in problem.selection:
-                raise ContractError(
-                    f"selection not valid: clause '{c}' has no selection "
-                    f"annotation (use --select to pick an automatic strategy)")
-            out[c.cid] = problem.selection[c.cid]
-        else:
-            try:
-                out[c.cid] = auto_select(c, o, options.select)
-            except SelectionError as exc:
-                raise ContractError(f"selection not valid: {exc}") from exc
-        try:
-            result = validate_selection(c, out[c.cid], o)
-        except ValueError as exc:  # oversized or malformed selection
-            raise ContractError(
-                f"selection not valid for clause '{c}': {exc}") from exc
+        out[c.cid], result = clause_selection(problem, options, c)
         if not result:
-            witness = sorted(result.witness or ())
             raise ContractError(
-                f"selection not valid for clause '{c}': {result.reason} "
-                f"(witness positions {witness})")
+                f"selection not valid for clause '{c}': {result.describe()}")
     return out
 
 
-def presaturate(problem: Problem, options: SolveOptions,
-                selection: dict[int, frozenset[int]]) -> SaturationReport:
+def check_problem_selection(problem: Problem, options: SolveOptions
+                            ) -> list[tuple[Clause, ValidationResult]]:
+    """Every theory clause with the validation of its selection."""
+    return [(c, clause_selection(problem, options, c)[1])
+            for c in problem.theory]
+
+
+def prepare_theory(problem: Problem,
+                   options: SolveOptions) -> SaturationReport:
+    """Selection, saturation and the budget gate.
+
+    Both a sat certificate and a candidate model rest on the saturated
+    theory under its selection, so `solve` and `verify-model` share this.
+    """
+    selection = build_selection(problem, options)
     try:
-        return saturate(problem.theory, selection, options.ordering,
-                        budget=options.saturation_budget,
-                        extend=options.resolved_extend())
-    except InvalidSelectionError as exc:
-        raise ContractError(f"selection not valid: {exc}") from exc
+        report = saturate(problem.theory, selection, options.ordering,
+                          budget=options.saturation_budget,
+                          extend=options.resolved_extend())
     except SelectionError as exc:
         raise ContractError(
             f"theory not saturated: saturation derived a clause the "
             f"selection cannot be extended to ({exc})") from exc
+    if (report.outcome is SaturationOutcome.BUDGET_EXCEEDED
+            and not options.allow_unsaturated):
+        raise ContractError(
+            "theory not saturated: saturation budget exceeded; a sat "
+            "answer would be uncertified (pass --allow-unsaturated to "
+            "run anyway)")
+    return report
 
 
 def solve_problem(problem: Problem, options: SolveOptions) -> SolveResult:
-    selection = build_selection(problem, options)
-    report = presaturate(problem, options, selection)
+    report = prepare_theory(problem, options)
     result = SolveResult("unknown", saturation=report)
     if report.outcome is SaturationOutcome.DERIVED_BOTTOM:
         # The theory alone is contradictory; no ground part can rescue it.
         result.verdict_line = "unsat"
         return result
     if report.outcome is SaturationOutcome.BUDGET_EXCEEDED:
-        if not options.allow_unsaturated:
-            raise ContractError(
-                "theory not saturated: saturation budget exceeded; a sat "
-                "answer would be uncertified (pass --allow-unsaturated to "
-                "run anyway)")
         result.warnings.append(
             "running on an unsaturated theory: sat answers are not certified")
     theory = [c for c in report.clauses if not c.is_ground]
@@ -167,16 +185,28 @@ def verify_model(problem: Problem, model_literals: list[Literal],
                  options: SolveOptions, depth: int) -> VerifyOutcome:
     """Desk-scale check that a ground model extends to the full theory.
 
-    Builds the candidate interpretation over the depth-bounded filtered
-    grounding of the theory, combines it with the given ground model, and
-    reports any instance the combination falsifies.
+    Saturates as `solve` does, builds the candidate interpretation over the
+    depth-bounded filtered grounding of the saturated non-ground clauses
+    under their selection, combines it with the given ground model, and
+    reports any instance of the input theory the combination falsifies.
     """
-    selection = build_selection(problem, options)
+    saturation = prepare_theory(problem, options)
+    if saturation.outcome is SaturationOutcome.DERIVED_BOTTOM:
+        raise ContractError("theory unsatisfiable: saturation derived the "
+                            "empty clause, so no model can be verified")
     ground_model = Interpretation(model_literals)
-    entries = [(c, selection[c.cid]) for c in problem.theory]
+    # Input clauses first, in file order, then derived ones: duplicate
+    # ground instances keep the selection of the first clause grounded.
+    theory = sorted((c for c in saturation.clauses if not c.is_ground),
+                    key=lambda c: c.cid)
+    entries = [(c, saturation.selection[c.cid]) for c in theory]
     filtered = filtered_ground_instances(entries, ground_model,
                                          problem.signature, depth)
-    constructed, _records = produce_model(filtered, options.ordering)
+    try:
+        constructed, _records = produce_model(filtered, options.ordering)
+    except ValueError as exc:  # the ordering does not compare two clauses
+        raise ContractError(f"cannot build the candidate model: {exc} "
+                            f"(use --order weight)") from exc
     combined = combine(constructed, ground_model)
     report = verify_no_falsified(combined, problem.theory, problem.ground,
                                  problem.signature, depth)
@@ -186,42 +216,7 @@ def verify_model(problem: Problem, model_literals: list[Literal],
 def check_problem_saturated(problem: Problem,
                             options: SolveOptions) -> SaturationReport:
     selection = build_selection(problem, options)
-    try:
-        return check_saturated(problem.theory, selection, options.ordering)
-    except InvalidSelectionError as exc:
-        raise ContractError(f"selection not valid: {exc}") from exc
-
-
-@dataclass
-class SelectionCheck:
-    clause: Clause
-    valid: bool
-    witness: tuple[int, ...] = ()
-    reason: str = ""
-
-
-def check_problem_selection(problem: Problem,
-                            options: SolveOptions) -> list[SelectionCheck]:
-    o = options.ordering
-    out: list[SelectionCheck] = []
-    for c in problem.theory:
-        if options.select == "annotated" and c.cid not in problem.selection:
-            out.append(SelectionCheck(c, False, (),
-                                      "clause has no selection annotation"))
-            continue
-        if options.select == "annotated":
-            sel = problem.selection[c.cid]
-        else:
-            try:
-                sel = auto_select(c, o, options.select)
-            except SelectionError as exc:
-                out.append(SelectionCheck(c, False, (), str(exc)))
-                continue
-        result = validate_selection(c, sel, o)
-        out.append(SelectionCheck(
-            c, result.valid, tuple(sorted(result.witness or ())),
-            result.reason))
-    return out
+    return check_saturated(problem.theory, selection, options.ordering)
 
 
 def solve_timed(problem: Problem, options: SolveOptions

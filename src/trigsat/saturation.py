@@ -16,14 +16,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Optional
 
 from .ordering import Comparison, OrderingSpec, compare_clauses
-from .selection import (
-    ValidationResult,
-    extend_selection,
-    validate_selection,
-)
+from .selection import ValidationResult, check_selection, extend_selection
 from .terms import (
     Clause,
     canonicalize,
@@ -67,10 +64,8 @@ class InvalidSelectionError(Exception):
     def __init__(self, c: Clause, result: ValidationResult):
         self.clause = c
         self.result = result
-        witness = sorted(result.witness or ())
         super().__init__(
-            f"invalid selection for clause '{c}': {result.reason} "
-            f"(witness positions {witness})")
+            f"invalid selection for clause '{c}': {result.describe()}")
 
 
 def is_tautology(c: Clause) -> bool:
@@ -157,43 +152,55 @@ def factor(c: Clause, pos: int,
     return out
 
 
+def _by_polarity(c: Clause, sel: Iterable[int]) -> tuple[list[int], list[int]]:
+    """c's selected positions in ascending order: (positive, negative)."""
+    ordered = sorted(sel)
+    return ([p for p in ordered if c.literals[p].positive],
+            [p for p in ordered if not c.literals[p].positive])
+
+
 def _validate_all(clauses: Iterable[Clause],
-                  selection: dict[int, frozenset[int]],
-                  o: OrderingSpec) -> None:
+                  selection: dict[int, frozenset[int]], o: OrderingSpec
+                  ) -> dict[int, tuple[list[int], list[int]]]:
+    """Raise on a clause without a valid selection; otherwise return each
+    clause's selected positions by polarity, as `inferences` takes them."""
+    sides = {}
     for c in clauses:
         if c.is_ground:
             raise ValueError(f"ground clause '{c}' in non-ground set")
-        if c.cid not in selection:
-            raise InvalidSelectionError(
-                c, ValidationResult(False, None, "clause has no selection"))
-        try:
-            result = validate_selection(c, selection[c.cid], o)
-        except ValueError as exc:  # oversized or malformed selection
-            raise InvalidSelectionError(
-                c, ValidationResult(False, None, str(exc))) from exc
+        result = (check_selection(c, selection[c.cid], o)
+                  if c.cid in selection else
+                  ValidationResult(False, None, "clause has no selection"))
         if not result:
             raise InvalidSelectionError(c, result)
+        sides[c.cid] = _by_polarity(c, selection[c.cid])
+    return sides
 
 
-def _inferences_between(given: Clause, given_sel: frozenset[int],
-                        other: Clause, other_sel: frozenset[int]):
-    """Resolution conclusions using the given clause and one partner."""
-    for p1 in sorted(given_sel):
-        if given.literals[p1].positive:
-            for p2 in sorted(other_sel):
-                if not other.literals[p2].positive:
-                    r = resolve(given, p1, other, p2)
-                    if r is not None:
-                        yield ("resolution", (given.cid, other.cid), r)
-    if other is given:
-        return  # the loop above already covered both roles
-    for p2 in sorted(given_sel):
-        if not given.literals[p2].positive:
-            for p1 in sorted(other_sel):
-                if other.literals[p1].positive:
-                    r = resolve(other, p1, given, p2)
-                    if r is not None:
-                        yield ("resolution", (other.cid, given.cid), r)
+def inferences(sides: dict[int, tuple[list[int], list[int]]], first: Clause,
+               second: Optional[Clause] = None, negative_outer: bool = False):
+    """Yield (kind, premise ids, conclusion) for the inferences of one
+    premise pair, or of one clause when `second` is None.
+
+    `sides` maps a clause id to its selected positions by polarity (see
+    `_by_polarity`).  With a partner: the resolutions of a selected
+    positive literal of `first` with a selected negative literal of
+    `second`, the positive position outermost unless `negative_outer`.
+    Without one: the factors of `first`.
+    """
+    positives = sides[first.cid][0]
+    if second is None:
+        for p in positives:
+            for f in factor(first, p):
+                yield "factoring", (first.cid,), f
+        return
+    negatives = sides[second.cid][1]
+    pairs = (((p, q) for q in negatives for p in positives) if negative_outer
+             else ((p, q) for p in positives for q in negatives))
+    for p, q in pairs:
+        r = resolve(first, p, second, q)
+        if r is not None:
+            yield "resolution", (first.cid, second.cid), r
 
 
 def _pick_given(passive: list[Clause], o: OrderingSpec) -> Clause:
@@ -218,7 +225,7 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
     """
     inputs = list(ng)
     selection = dict(sel)
-    _validate_all(inputs, selection, o)
+    sides = _validate_all(inputs, selection, o)
     counts = {"resolvents": 0, "factors": 0, "kept": 0, "tautologies": 0,
               "forward_subsumed": 0, "backward_subsumed": 0}
     started = time.monotonic()
@@ -261,19 +268,21 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
         conclusions: list[Clause] = []
         if not given.is_ground:
             # Ground clauses are retained but generate no inferences.
-            given_sel = selection[given.cid]
             for other in active:
-                if other is not given and other.is_ground:
+                if other is given:
+                    found = inferences(sides, given, given)
+                elif other.is_ground:
                     continue
-                for _, _, r in _inferences_between(given, given_sel,
-                                                   other, selection[other.cid]):
+                else:
+                    found = chain(inferences(sides, given, other),
+                                  inferences(sides, other, given,
+                                             negative_outer=True))
+                for _, _, r in found:
                     counts["resolvents"] += 1
                     conclusions.append(r)
-            for p in sorted(given_sel):
-                if given.literals[p].positive:
-                    for f in factor(given, p):
-                        counts["factors"] += 1
-                        conclusions.append(f)
+            for _, _, f in inferences(sides, given):
+                counts["factors"] += 1
+                conclusions.append(f)
 
         for concl in conclusions:
             if concl.is_empty:
@@ -286,6 +295,7 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
                 continue
             if not concl.is_ground:
                 selection[concl.cid] = extend_selection(concl, o, extend)
+                sides[concl.cid] = _by_polarity(concl, selection[concl.cid])
             passive.append(concl)
 
     return SaturationReport(SaturationOutcome.SATURATED, list(active),
@@ -298,36 +308,21 @@ def check_saturated(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
     conclusion that is neither a tautology nor subsumed in the set."""
     clauses = list(ng)
     selection = dict(sel)
-    _validate_all(clauses, selection, o)
+    sides = _validate_all(clauses, selection, o)
     counts = {"inferences": 0}
     violations: list[Violation] = []
 
     def redundant(concl: Clause) -> bool:
         return is_tautology(concl) or any(subsumes(c, concl) for c in clauses)
 
-    for c1 in clauses:
-        for c2 in clauses:
-            for p1 in sorted(selection[c1.cid]):
-                if not c1.literals[p1].positive:
-                    continue
-                for p2 in sorted(selection[c2.cid]):
-                    if c2.literals[p2].positive:
-                        continue
-                    r = resolve(c1, p1, c2, p2)
-                    if r is None:
-                        continue
-                    counts["inferences"] += 1
-                    if not redundant(r):
-                        violations.append(
-                            Violation("resolution", (c1.cid, c2.cid), r))
-    for c in clauses:
-        for p in sorted(selection[c.cid]):
-            if not c.literals[p].positive:
-                continue
-            for f in factor(c, p):
-                counts["inferences"] += 1
-                if not redundant(f):
-                    violations.append(Violation("factoring", (c.cid,), f))
+    enumerated = chain(
+        (i for c1 in clauses for c2 in clauses
+         for i in inferences(sides, c1, c2)),
+        (i for c in clauses for i in inferences(sides, c)))
+    for kind, premises, concl in enumerated:
+        counts["inferences"] += 1
+        if not redundant(concl):
+            violations.append(Violation(kind, premises, concl))
 
     outcome = (SaturationOutcome.SATURATED if not violations
                else SaturationOutcome.NOT_SATURATED)

@@ -49,6 +49,11 @@ class ValidationResult:
     def __bool__(self) -> bool:
         return self.valid
 
+    def describe(self) -> str:
+        if self.witness is None:
+            return self.reason
+        return f"{self.reason} (witness positions {sorted(self.witness)})"
+
 
 def _positions_vars(c: Clause, positions: Iterable[int]) -> set[Var]:
     out: set[Var] = set()
@@ -97,6 +102,16 @@ def validate_selection(c: Clause, sel: Iterable[int],
                               "negative literal")
                 return ValidationResult(False, frozenset(t), reason)
     return ValidationResult(True)
+
+
+def check_selection(c: Clause, sel: Iterable[int],
+                    o: OrderingSpec) -> ValidationResult:
+    """validate_selection, reporting an oversized or malformed selection as
+    invalid instead of raising."""
+    try:
+        return validate_selection(c, sel, o)
+    except ValueError as exc:
+        return ValidationResult(False, None, str(exc))
 
 
 def _coverage_or_raise(c: Clause, positions: set[int], what: str) -> None:

@@ -87,6 +87,17 @@ class TestCheckCommands:
         assert proc.returncode == 2
         assert "invalid" in proc.stdout
 
+    def test_check_selection_reports_oversized_selection(self, tmp_path):
+        big = tmp_path / "big.p"
+        big.write_text(" | ".join(f"*~p(X{i})" for i in range(1, 10)) + "\n")
+        proc = run_cli(["check-selection", str(big)])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        line = proc.stdout.splitlines()[0]
+        assert line.startswith("invalid: ")
+        assert line.endswith(
+            " -- selection of 9 literals exceeds the cap of 8")
+
     def test_check_selection_all_valid(self):
         proc = run_cli(["check-selection", "problems/countersel.p",
                         "--precedence", "r>q>p", "--precedence-dominant"])
@@ -130,6 +141,40 @@ class TestVerifyModel:
                         "--model", str(model), "--verify-depth", "2"])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "ok"
+
+
+    def test_verify_repair_model_after_saturation(self, tmp_path):
+        # The model is certified only with the derived p-chain clause, so
+        # verification must build its candidate from the saturated theory.
+        model = tmp_path / "model.lits"
+        flags = ["--extend-select", "max"]
+        proc = run_cli(["solve", "problems/goodsel_trig2_repair.p", *flags,
+                        "--emit-model", str(model)])
+        assert proc.stdout.splitlines()[0] == "sat"
+        for depth in ("1", "2", "3"):
+            proc = run_cli(["verify-model", "problems/goodsel_trig2_repair.p",
+                            *flags, "--model", str(model),
+                            "--verify-depth", depth])
+            assert proc.returncode == 0, depth
+            assert proc.stdout.splitlines()[0] == "ok", depth
+
+    def test_verify_subterm_order_is_contract_error(self, tmp_path):
+        model = tmp_path / "model.lits"
+        model.write_text("g(a, b)\n")
+        proc = run_cli(["verify-model", "problems/ex1.p", "--order", "subterm",
+                        "--model", str(model), "--verify-depth", "1"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--order weight" in proc.stderr
+
+    def test_verify_bottom_theory_is_contract_error(self, tmp_path):
+        problem = tmp_path / "bottom.p"
+        problem.write_text("*p(X1)\n*~p(X2)\ng(a, b)\n")
+        model = tmp_path / "model.lits"
+        model.write_text("g(a, b)\n")
+        proc = run_cli(["verify-model", str(problem), "--model", str(model)])
+        assert proc.returncode == 2
+        assert "empty clause" in proc.stderr
 
 
 class TestDeterminism:

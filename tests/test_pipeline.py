@@ -71,6 +71,15 @@ class TestSaturationGate:
         assert "not certified" in result.warnings[0]
         assert result.verdict_line in ("sat", "unknown")
 
+    def test_verify_refuses_saturation_over_budget(self):
+        from trigsat.pipeline import verify_model
+
+        options = SolveOptions(
+            extend_select="all",
+            saturation_budget=InferenceBudget(max_clauses=5))
+        with pytest.raises(ContractError, match="not saturated"):
+            verify_model(self.growing_theory(), [], options, depth=1)
+
     def test_extension_error_mode_is_contract_error(self):
         problem = parse_problem("~p(X1, Y1) | *q(f(X1), Y1)\n"
                                 "*~q(X2, Y2) | p(X2, f(Y2))\n"

@@ -291,3 +291,44 @@ p(X4) | *q(X4) | *~r(Y4)
                     lit(Atom("p", (fn("f", X),)), False)])
         report = check_saturated([c], {c.cid: frozenset({0, 1})}, WEIGHT)
         assert report.outcome is SaturationOutcome.NOT_SATURATED
+
+
+class TestPinnedCorpusCounts:
+    """Counts a refactor of the inference enumeration must keep: clause ids
+    come from a global counter and break ties in the given-clause choice,
+    so any change in the order of inferences shows up here."""
+
+    def test_settheory_maximal_saturation(self):
+        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.pipeline import SolveOptions, solve_problem
+
+        options = SolveOptions(select="maximal",
+                               ordering=corpus_ordering("settheory"))
+        report = solve_problem(load_corpus("settheory"), options).saturation
+        assert report.outcome is SaturationOutcome.SATURATED
+        assert len(report.clauses) == 118
+        assert report.counts == {
+            "resolvents": 207, "factors": 28, "kept": 118, "tautologies": 10,
+            "forward_subsumed": 124, "backward_subsumed": 0}
+
+    def test_subsumption_maximal_saturation_hits_budget(self):
+        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.pipeline import SolveOptions, solve_problem
+        from trigsat.saturation import InferenceBudget
+
+        options = SolveOptions(
+            select="maximal", ordering=corpus_ordering("subsumption"),
+            allow_unsaturated=True,
+            saturation_budget=InferenceBudget(max_clauses=100))
+        report = solve_problem(load_corpus("subsumption"), options).saturation
+        assert report.outcome is SaturationOutcome.BUDGET_EXCEEDED
+        assert len(report.clauses) == 127
+
+    def test_check_saturated_inference_counts(self):
+        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.pipeline import SolveOptions, check_problem_saturated
+
+        for name, inferences in (("settheory", 10), ("subsumption", 13)):
+            options = SolveOptions(ordering=corpus_ordering(name))
+            report = check_problem_saturated(load_corpus(name), options)
+            assert report.counts == {"inferences": inferences}, name
