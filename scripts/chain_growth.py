@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Measure instantiation counts on growing ground chains.
+"""Measure instantiation counts and wall time on growing ground chains.
 
 The two-clause p/q theory walks one chain step per instantiation, so the
 count should stay linear in the chain length k (comfortably inside the
-quadratic envelope the Horn/2SAT complexity argument promises).
+quadratic envelope the Horn/2SAT complexity argument promises).  The
+seconds column is the wall time to parse and solve one chain.
 
-Usage: python3 scripts/chain_growth.py [max_k]
+Usage: python3 scripts/chain_growth.py [max_k] [--ks K,K,...]
+
+Without --ks it runs k = 1 .. max_k (default 10); with --ks, only the
+listed lengths, e.g. --ks 10,50,100,200.
 """
 
+import argparse
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -22,22 +28,29 @@ THEORY = ("~p(X1, Y1) | *q(f(X1), Y1)\n"
 
 
 def chain_problem(k: int):
-    s, t = "a", "b"
-    for _ in range(k):
-        s, t = f"f({s})", f"f({t})"
+    s = "f(" * k + "a" + ")" * k
+    t = "f(" * k + "b" + ")" * k
     return parse_problem(THEORY + f"~p({s}, {t})\n")
 
 
 def main() -> int:
-    max_k = int(sys.argv[1]) if len(sys.argv) > 1 else 10
+    parser = argparse.ArgumentParser(prog="chain_growth.py")
+    parser.add_argument("max_k", nargs="?", type=int, default=10)
+    parser.add_argument("--ks", help="comma-separated chain lengths")
+    args = parser.parse_args()
+    ks = ([int(k) for k in args.ks.split(",")] if args.ks
+          else range(1, args.max_k + 1))
     options = SolveOptions(ordering=OrderingSpec(kind="subterm"))
-    print(f"{'k':>3} {'instantiations':>15} {'propagations':>13} "
-          f"{'decides':>8} {'verdict':>8}")
-    for k in range(1, max_k + 1):
+    print(f"{'k':>4} {'instantiations':>15} {'propagations':>13} "
+          f"{'decides':>8} {'verdict':>8} {'seconds':>8}")
+    for k in ks:
+        start = time.perf_counter()
         result = solve_problem(chain_problem(k), options)
+        seconds = time.perf_counter() - start
         stats = result.run.stats
-        print(f"{k:>3} {stats.instantiations:>15} {stats.propagates:>13} "
-              f"{stats.decides:>8} {result.verdict_line:>8}")
+        print(f"{k:>4} {stats.instantiations:>15} {stats.propagates:>13} "
+              f"{stats.decides:>8} {result.verdict_line:>8} {seconds:>8.2f}",
+              flush=True)
     return 0
 
 

@@ -41,7 +41,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrailEntry:
     literal: Literal
     level: int
@@ -212,6 +212,9 @@ class Solver:
         self._twosat = twosat_monitor
         self.ground: list[Clause] = []
         self._ground_keys: set = set()
+        # The atoms of G in first-seen order; G only grows.
+        self._atoms: dict[Atom, None] = {}
+        self._instances_in_ground: dict[int, set] = {}
         for c in ground:
             self._add_ground(c)
 
@@ -227,18 +230,17 @@ class Solver:
             return False
         self._ground_keys.add(slim.key)
         self.ground.append(slim)
+        for lit in slim.literals:
+            self._atoms.setdefault(lit.atom)
         return True
 
-    def _emit(self, line: str) -> None:
+    def _emit(self, fmt: str, *args: object) -> None:
+        # Formatted only when tracing: str() of a clause walks its terms.
         if self._tracing:
-            self.trace.append(line)
+            self.trace.append(fmt.format(*args))
 
     def atoms(self) -> list[Atom]:
-        seen: dict[Atom, None] = {}
-        for c in self.ground:
-            for lit in c.literals:
-                seen.setdefault(lit.atom)
-        return list(seen)
+        return list(self._atoms)
 
     def _level(self) -> int:
         return self.trail.level
@@ -253,7 +255,7 @@ class Solver:
                 self.lc = c
                 self.stats.conflicts += 1
                 self._bump_conflict_monitors(c)
-                self._emit(f"conflict {c} level={self._level()}")
+                self._emit("conflict {} level={}", c, self._level())
                 return True
         return False
 
@@ -308,7 +310,7 @@ class Solver:
             self.stats.propagates += 1
             self.stats._dp_since_event += 1
             self._check_dp_bound()
-            self._emit(f"propagate {lit} level={level} reason={c}")
+            self._emit("propagate {} level={} reason={}", lit, level, c)
             return True
         return False
 
@@ -337,7 +339,7 @@ class Solver:
         if not _guard_checked and self._propagation_or_conflict_pending():
             raise RuntimeError(
                 "decide blocked: a propagation or conflict is pending")
-        unassigned = [a for a in self.atoms() if not self.trail.defines(a)]
+        unassigned = [a for a in self._atoms if not self.trail.defines(a)]
         if not unassigned:
             return False
         unassigned.sort(key=atom_key)
@@ -350,7 +352,7 @@ class Solver:
         self.stats.decides += 1
         self.stats._dp_since_event += 1
         self._check_dp_bound()
-        self._emit(f"decide ~{best} level={level}")
+        self._emit("decide ~{} level={}", best, level)
         return True
 
     def backjump_applicable(self) -> bool:
@@ -388,12 +390,12 @@ class Solver:
         self.lc = Clause(merged, origin="learned")
         self.stats.backjumps += 1
         self.stats._bj_this_conflict += 1
-        n = len(self.atoms())
+        n = len(self._atoms)
         if self.stats._bj_this_conflict > n:
             self.stats.note(
                 f"backjump-count monitor: {self.stats._bj_this_conflict} "
                 f"resolution steps in one conflict with {n} atoms")
-        self._emit(f"backjump {self.lc} level={self._level()}")
+        self._emit("backjump {} level={}", self.lc, self._level())
 
     def learn(self) -> None:
         """Add the conflict clause to G and rewind the trail."""
@@ -419,7 +421,7 @@ class Solver:
             keep = int(self.trail.count(second))
             self.trail.truncate_keep(keep)
         self.lc = None
-        self._emit(f"learn {c} level={self._level()}")
+        self._emit("learn {} level={}", c, self._level())
 
     def instantiate_step(self) -> str:
         """Add one new ground instance whose selected literals all have
@@ -439,8 +441,8 @@ class Solver:
         self._add_ground(instance)
         self.stats.instantiations += 1
         self.stats._dp_since_event = 0
-        self._emit(f"instantiate {instance} from {parent} "
-                   f"level={self._level()}")
+        self._emit("instantiate {} from {} level={}", instance, parent,
+                   self._level())
         added = self.ground[-1]  # duplicate-literal-merged form
         if len(added) == 1:
             self.trail.clear()
@@ -465,8 +467,16 @@ class Solver:
 
     def _search_all(self, patterns: list[Literal], trail_lits: list[Literal],
                     c: Clause) -> Optional[tuple[Clause, Substitution, Clause]]:
+        # Matches whose instance is known to be in G (which only grows).
+        # Every full match binds the same variables in the same order, so
+        # the bound terms alone identify it.
+        in_ground = self._instances_in_ground.setdefault(c.cid, set())
+
         def go(i: int, bindings) -> Optional[tuple[Clause, Substitution, Clause]]:
             if i == len(patterns):
+                match = tuple(bindings.values())
+                if match in in_ground:
+                    return None
                 theta = Substitution(bindings)
                 instance = theta.apply_clause(c, origin="instance")
                 assert instance.is_ground, (
@@ -475,6 +485,7 @@ class Solver:
                 slim = Clause(_dedup_literals(instance.literals),
                               origin="instance")
                 if slim.key in self._ground_keys:
+                    in_ground.add(match)
                     return None
                 return c, theta, instance
             for lit in trail_lits:
@@ -486,10 +497,13 @@ class Solver:
                     return got
             return None
 
-        return go(0, {})
+        try:
+            return go(0, {})
+        finally:
+            del go  # no garbage cycle through the closure
 
     def _check_dp_bound(self) -> None:
-        n = len(self.atoms())
+        n = len(self._atoms)
         if self.stats._dp_since_event > max(n, 1):
             self.stats.note(
                 f"step-count monitor: {self.stats._dp_since_event} "
@@ -503,7 +517,7 @@ class Solver:
 
         def stop_unknown(reason: str) -> RunResult:
             self.stats.wall_time = time.monotonic() - started
-            self._emit(f"unknown ({reason})")
+            self._emit("unknown ({})", reason)
             return RunResult(Verdict("unknown", (), reason),
                              self.stats, self.trace, self.ground)
 

@@ -20,7 +20,7 @@ from .ordering import OrderingSpec
 from .parser import (
     ParseError,
     format_clause,
-    format_model,
+    model_lines,
     parse_model_text,
     parse_problem,
 )
@@ -176,11 +176,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if result.verdict_line == "unknown" and result.run is not None:
         print(f"reason: {result.run.verdict.reason}")
     if result.verdict_line == "sat" and args.emit_model is not None:
-        text = format_model(result.model)
+        lines = model_lines(result.model)
         if args.emit_model == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(lines)
         else:
-            Path(args.emit_model).write_text(text, encoding="utf-8")
+            with open(args.emit_model, "w", encoding="utf-8") as out:
+                out.writelines(lines)
     return 0
 
 

@@ -80,9 +80,18 @@ class OrderingSpec:
 
 
 def term_weight(o: OrderingSpec, t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return o.symbol_weight(t.fn) + sum(term_weight(o, a) for a in t.args)
+    if not o.weights:
+        return t.size  # every symbol weighs 1
+    total = 0
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Var):
+            total += 1
+        else:
+            total += o.symbol_weight(t.fn)
+            stack.extend(t.args)
+    return total
 
 
 def atom_weight(o: OrderingSpec, a: Atom) -> int:
@@ -93,34 +102,33 @@ def _covers(big: Counter, small: Counter) -> bool:
     return all(big[v] >= n for v, n in small.items())
 
 
-def _kbo(o: OrderingSpec, s: Term, t: Term) -> Comparison:
-    if s == t:
-        return Comparison.EQ
-    vs, vt = var_counts(s), var_counts(t)
-    can_gt = _covers(vs, vt)
-    can_lt = _covers(vt, vs)
-    ws, wt = term_weight(o, s), term_weight(o, t)
-    if ws > wt:
-        return Comparison.GT if can_gt else Comparison.INCOMPARABLE
-    if ws < wt:
-        return Comparison.LT if can_lt else Comparison.INCOMPARABLE
-    if isinstance(s, Var) or isinstance(t, Var):
-        return Comparison.INCOMPARABLE
-    if s.fn != t.fn:
-        c = o.compare_symbols(s.fn, t.fn)
-        if c is Comparison.GT:
-            return Comparison.GT if can_gt else Comparison.INCOMPARABLE
-        return Comparison.LT if can_lt else Comparison.INCOMPARABLE
-    for sa, ta in zip(s.args, t.args):
-        c = _kbo(o, sa, ta)
-        if c is Comparison.EQ:
+def _kbo(o: OrderingSpec, s: Term, t: Term, can_gt: bool = True,
+         can_lt: bool = True) -> Comparison:
+    """KBO on terms.  A loop down the first differing argument pair;
+    `can_gt`/`can_lt` carry the variable conditions of the levels above."""
+    while s is not t:
+        vs, vt = var_counts(s), var_counts(t)
+        can_gt = can_gt and _covers(vs, vt)
+        can_lt = can_lt and _covers(vt, vs)
+        ws, wt = term_weight(o, s), term_weight(o, t)
+        if ws != wt:
+            c = Comparison.GT if ws > wt else Comparison.LT
+        elif isinstance(s, Var) or isinstance(t, Var):
+            return Comparison.INCOMPARABLE
+        elif s.fn != t.fn:
+            c = o.compare_symbols(s.fn, t.fn)
+        else:
+            for sa, ta in zip(s.args, t.args):
+                if sa is not ta:
+                    s, t = sa, ta
+                    break
+            else:
+                raise AssertionError("equal-argument atoms must compare EQ earlier")
             continue
         if c is Comparison.GT:
             return Comparison.GT if can_gt else Comparison.INCOMPARABLE
-        if c is Comparison.LT:
-            return Comparison.LT if can_lt else Comparison.INCOMPARABLE
-        return Comparison.INCOMPARABLE
-    raise AssertionError("equal-argument atoms must compare EQ earlier")
+        return Comparison.LT if can_lt else Comparison.INCOMPARABLE
+    return Comparison.EQ
 
 
 def _kbo_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
@@ -138,14 +146,8 @@ def _kbo_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
             return Comparison.GT if can_gt else Comparison.INCOMPARABLE
         return Comparison.LT if can_lt else Comparison.INCOMPARABLE
     for sa, ta in zip(a.args, b.args):
-        c = _kbo(o, sa, ta)
-        if c is Comparison.EQ:
-            continue
-        if c is Comparison.GT:
-            return Comparison.GT if can_gt else Comparison.INCOMPARABLE
-        if c is Comparison.LT:
-            return Comparison.LT if can_lt else Comparison.INCOMPARABLE
-        return Comparison.INCOMPARABLE
+        if sa is not ta:
+            return _kbo(o, sa, ta, can_gt, can_lt)
     raise AssertionError("distinct atoms with all-equal arguments")
 
 
@@ -162,12 +164,8 @@ def _pointwise_subterm(a: Atom, b: Atom) -> Optional[Comparison]:
     return None
 
 
-def _ground(a: Atom) -> bool:
-    return not var_counts(a)
-
-
 def compare_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
-    if a == b:
+    if a is b:
         return Comparison.EQ
     if o.precedence_dominant and a.pred != b.pred:
         return o.compare_symbols(a.pred, b.pred)
@@ -185,7 +183,7 @@ def compare_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
             return o.compare_symbols(a.pred, b.pred)
         if c is not None:
             return c
-    if _ground(a) and _ground(b) and atom_weight(o, a) == atom_weight(o, b):
+    if a.ground and b.ground and atom_weight(o, a) == atom_weight(o, b):
         return o.compare_symbols(a.pred, b.pred)
     return Comparison.INCOMPARABLE
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .terms import (
     App,
@@ -47,7 +47,7 @@ class ParseError(Exception):
         super().__init__(f"line {line}, column {col}: {message}")
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     kind: str  # "var" | "sym" | punctuation itself | "eol"
     text: str
@@ -98,23 +98,34 @@ class _LineParser:
         return ParseError(message, self.line_no, self.peek().col)
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "var":
-            self.take()
-            return Var(tok.text)
-        if tok.kind == "sym":
-            self.take()
-            if self.peek().kind == "(":
+        # A loop with one open (symbol, arguments) frame per unclosed '('.
+        frames: list[tuple[str, list[Term]]] = []
+        while True:
+            tok = self.peek()
+            if tok.kind == "var":
                 self.take()
-                args = [self.term()]
-                while self.peek().kind == ",":
+                t: Term = Var(tok.text)
+            elif tok.kind == "sym":
+                self.take()
+                if self.peek().kind == "(":
                     self.take()
-                    args.append(self.term())
+                    frames.append((tok.text, []))
+                    continue
+                t = App(tok.text, ())
+            else:
+                what = repr(tok.text) if tok.text else "end of line"
+                raise self.fail(f"expected term, found {what}")
+            while frames:
+                name, args = frames[-1]
+                args.append(t)
+                if self.peek().kind == ",":
+                    self.take()
+                    break
                 self.expect(")")
-                return App(tok.text, tuple(args))
-            return App(tok.text, ())
-        what = repr(tok.text) if tok.text else "end of line"
-        raise self.fail(f"expected term, found {what}")
+                frames.pop()
+                t = App(name, tuple(args))
+            else:
+                return t
 
     def atom(self) -> Atom:
         tok = self.peek()
@@ -248,5 +259,14 @@ def parse_model_text(text: str) -> list[Literal]:
     return out
 
 
+def model_lines(literals: Sequence[Literal]) -> Iterator[str]:
+    """The text of `format_model`, one line at a time, so that a large
+    model is never held whole."""
+    if not literals:
+        yield "\n"
+    for lit in literals:
+        yield f"{lit}\n"
+
+
 def format_model(literals) -> str:
-    return "\n".join(str(l) for l in literals) + "\n"
+    return "".join(model_lines(list(literals)))

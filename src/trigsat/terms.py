@@ -1,9 +1,19 @@
 """First-order syntax: terms, atoms, literals, clauses, substitutions.
 
+Variables, terms, atoms and literals are hash-consed (Filliâtre &
+Conchon, "Type-Safe Modular Hash-Consing", 2006): each distinct value is
+built once, through a weak intern table, so equal values are the same
+object and equal subterms are shared.  Equality and hash are therefore
+object identity, which plays the part of the paper's unique tags.  A term
+computes at construction, from its children's cached fields, its ground
+flag, its depth, its symbol count and its `term_key` (a nested tuple, or
+for a very deep term a small `_DeepKey` made on demand).  Nodes must never
+be mutated.
+
 Clauses are multisets of literals (duplicates are preserved); equality and
 hashing go through a canonical multiset key, while the stored literal order
-is kept for display.  All values are immutable after construction and safe
-to share; every operation here is a pure function.
+is kept for display.  Every walk over a term is a loop, so terms of any
+depth are safe; every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -11,30 +21,191 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from weakref import KeyedRef
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _WeakTable(dict):
+    """An intern table: key -> weak reference to the one live node with
+    that key.  An entry goes when its node dies."""
+
+    __slots__ = ("_drop",)
+
+    def __init__(self) -> None:
+        super().__init__()
+
+        def drop(ref: KeyedRef, table: dict = self) -> None:
+            if table.get(ref.key) is ref:
+                del table[ref.key]
+
+        self._drop = drop
+
+    def add(self, key, node) -> None:
+        self[key] = KeyedRef(node, self._drop, key)
+
+
+def _find(tables: dict, head, key):
+    """The intern table of `head` and the live node under `key` in it, or
+    None.  Tables are kept per head symbol (per polarity for literals), so
+    a node's own argument tuple, atom or name serves as its key."""
+    table = tables.get(head)
+    if table is None:
+        table = tables[head] = _WeakTable()
+    ref = table.get(key)
+    return table, (None if ref is None else ref())
+
+
+class _Node:
+    """Base of the hash-consed nodes.  Equality and hash are object
+    identity, which hash-consing makes structural."""
+
+    __slots__ = ("__weakref__",)
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} {self}>"
+
+
+_vars: dict = {}
+_apps: dict = {}
+_atoms: dict = {}
+_literals: dict = {}
+
+# Terms at least this deep have a `_DeepKey`; shallower ones a nested
+# tuple, which compares in C with a recursion depth bounded by about twice
+# this.
+_DEEP = 64
+
+
+class Var(_Node):
+    __slots__ = ("name", "key")
+    ground = False
+    depth = 0
+    size = 1
+
+    def __new__(cls, name: str) -> "Var":
+        table, node = _find(_vars, None, name)
+        if node is None:
+            node = object.__new__(cls)
+            node.name = name
+            node.key = (0, name)
+            table.add(name, node)
+        return node
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class App:
-    fn: str
-    args: tuple["Term", ...] = ()
+class App(_Node):
+    __slots__ = ("fn", "args", "key", "ground", "depth", "size")
+
+    def __new__(cls, fn: str, args: tuple["Term", ...] = ()) -> "App":
+        if type(args) is not tuple:
+            args = tuple(args)
+        table, node = _find(_apps, fn, args)
+        if node is None:
+            node = object.__new__(cls)
+            node.fn = fn
+            node.args = args
+            node.ground = all(a.ground for a in args)
+            node.depth = 1 + max(a.depth for a in args) if args else 0
+            node.size = 1 + sum(a.size for a in args)
+            # Deep terms build their `_DeepKey` on demand (see term_key).
+            node.key = ((1, fn, tuple(a.key for a in args))
+                        if node.depth < _DEEP else None)
+            table.add(args, node)
+        return node
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.fn
-        return f"{self.fn}({', '.join(str(a) for a in self.args)})"
+        return _text(self.fn, self.args)
 
 
 Term = Union[Var, App]
+
+
+class _DeepKey:
+    """`term_key` of a term of depth >= _DEEP: it orders like the nested
+    tuple (1, fn, argument keys) it stands for, compared by a loop, and
+    equals only the key of the same term."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple[Term, ...]) -> None:
+        self.fn = fn
+        self.args = args
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.args))
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is _DeepKey and self.fn == other.fn
+                and self.args == other.args)
+
+    def __lt__(self, other) -> bool:
+        return _key_order(self, other) < 0
+
+    def __le__(self, other) -> bool:
+        return _key_order(self, other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return _key_order(self, other) > 0
+
+    def __ge__(self, other) -> bool:
+        return _key_order(self, other) >= 0
+
+
+def _key_parts(k) -> tuple[tuple, tuple]:
+    """(tag, name) and the argument keys of a term key."""
+    if type(k) is _DeepKey:
+        return (1, k.fn), tuple(term_key(a) for a in k.args)
+    return k[:2], (k[2] if k[0] else ())
+
+
+def _key_order(x, y) -> int:
+    """-1, 0 or 1 as term key x sorts before, with or after y."""
+    todo = [(x, y)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not _DeepKey and type(y) is not _DeepKey:
+            # Two shallow keys, or two argument counts.
+            if x == y:
+                continue
+            return -1 if x < y else 1
+        (hx, ax), (hy, ay) = _key_parts(x), _key_parts(y)
+        if hx != hy:
+            return -1 if hx < hy else 1
+        todo.append((len(ax), len(ay)))
+        todo.extend(reversed(list(zip(ax, ay))))
+    return 0
+
+
+def _text(head: str, args: tuple[Term, ...]) -> str:
+    """head(arg, ...) as text, written by a loop over (arguments, next
+    index) frames."""
+    if not args:
+        return head
+    out = [head, "("]
+    todo: list[tuple[tuple[Term, ...], int]] = []
+    sub, i = args, 0
+    while True:
+        while i < len(sub):
+            a = sub[i]
+            if i:
+                out.append(", ")
+            i += 1
+            if isinstance(a, Var):
+                out.append(a.name)
+            elif a.args:
+                out += (a.fn, "(")
+                todo.append((sub, i))
+                sub, i = a.args, 0
+            else:
+                out.append(a.fn)
+        out.append(")")
+        if not todo:
+            return "".join(out)
+        sub, i = todo.pop()
 
 
 def const(name: str) -> App:
@@ -45,25 +216,40 @@ def fn(name: str, *args: Term) -> App:
     return App(name, tuple(args))
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...] = ()
+class Atom(_Node):
+    __slots__ = ("pred", "args", "ground")
+
+    def __new__(cls, pred: str, args: tuple[Term, ...] = ()) -> "Atom":
+        if type(args) is not tuple:
+            args = tuple(args)
+        table, node = _find(_atoms, pred, args)
+        if node is None:
+            node = object.__new__(cls)
+            node.pred = pred
+            node.args = args
+            node.ground = all(a.ground for a in args)
+            table.add(args, node)
+        return node
 
     @property
     def arity(self) -> int:
         return len(self.args)
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(str(a) for a in self.args)})"
+        return _text(self.pred, self.args)
 
 
-@dataclass(frozen=True)
-class Literal:
-    atom: Atom
-    positive: bool = True
+class Literal(_Node):
+    __slots__ = ("atom", "positive")
+
+    def __new__(cls, atom: Atom, positive: bool = True) -> "Literal":
+        table, node = _find(_literals, positive, atom)
+        if node is None:
+            node = object.__new__(cls)
+            node.atom = atom
+            node.positive = positive
+            table.add(atom, node)
+        return node
 
     def complement(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -73,10 +259,11 @@ class Literal:
 
 
 def term_key(t: Term) -> tuple:
-    """Total structural key; used for deterministic tie-breaking only."""
-    if isinstance(t, Var):
-        return (0, t.name)
-    return (1, t.fn, tuple(term_key(a) for a in t.args))
+    """Total structural key; used for deterministic tie-breaking only.
+
+    Keys order like (0, name) for a variable and (1, fn, argument keys)
+    for an application, compared lexicographically."""
+    return t.key or _DeepKey(t.fn, t.args)
 
 
 def atom_key(a: Atom) -> tuple:
@@ -90,7 +277,7 @@ def literal_key(lit: Literal) -> tuple:
 _clause_ids = itertools.count()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Clause:
     """A multiset of literals with a stable identifier and an origin tag.
 
@@ -102,10 +289,19 @@ class Clause:
     literals: tuple[Literal, ...]
     origin: str = "input-ground"
     cid: int = field(default_factory=lambda: next(_clause_ids))
+    _key: Optional[tuple] = field(default=None, init=False, repr=False)
 
-    @cached_property
+    @property
     def key(self) -> tuple:
-        return tuple(sorted(literal_key(l) for l in self.literals))
+        # The literals in `literal_key` order, computed once: a canonical
+        # form of the multiset whose hash and equality cost O(literals).
+        key = self._key
+        if key is None:
+            key = tuple(sorted(self.literals, key=literal_key))
+            if key == self.literals:
+                key = self.literals
+            object.__setattr__(self, "_key", key)
+        return key
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Clause) and self.key == other.key
@@ -123,9 +319,9 @@ class Clause:
     def is_empty(self) -> bool:
         return not self.literals
 
-    @cached_property
+    @property
     def is_ground(self) -> bool:
-        return not vars_of(self)
+        return all(lit.atom.ground for lit in self.literals)
 
     def atoms(self) -> list[Atom]:
         seen: dict[Atom, None] = {}
@@ -146,19 +342,19 @@ def clause(literals: Iterable[Literal], origin: Optional[str] = None) -> Clause:
     lits = tuple(literals)
     if origin is None:
         origin = "input-ground" if all(
-            not _term_tuple_vars(l.atom.args) for l in lits) else "input-nonground"
+            l.atom.ground for l in lits) else "input-nonground"
     return Clause(lits, origin)
 
 
 def _term_tuple_vars(args: tuple[Term, ...]) -> set[Var]:
     out: set[Var] = set()
-    stack = list(args)
+    stack = [t for t in args if not t.ground]
     while stack:
         t = stack.pop()
         if isinstance(t, Var):
             out.add(t)
         else:
-            stack.extend(t.args)
+            stack.extend(a for a in t.args if not a.ground)
     return out
 
 
@@ -166,9 +362,7 @@ def vars_of(obj: Union[Term, Atom, Literal, Clause, Iterable]) -> set[Var]:
     """Variables occurring in a term, atom, literal, clause, or collection."""
     if isinstance(obj, Var):
         return {obj}
-    if isinstance(obj, App):
-        return _term_tuple_vars(obj.args)
-    if isinstance(obj, Atom):
+    if isinstance(obj, (App, Atom)):
         return _term_tuple_vars(obj.args)
     if isinstance(obj, Literal):
         return _term_tuple_vars(obj.atom.args)
@@ -191,34 +385,77 @@ def var_counts(obj: Union[Term, Atom]) -> Counter:
         t = stack.pop()
         if isinstance(t, Var):
             counts[t] += 1
-        else:
+        elif not t.ground:
             stack.extend(t.args)
     return counts
 
 
 def term_depth(t: Term) -> int:
     """Depth of a variable or constant is 0; f(t...) is 1 + max child depth."""
-    if isinstance(t, Var) or not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
+    return t.depth
 
 
 def symbol_count(obj: Union[Term, Atom]) -> int:
-    if isinstance(obj, Var):
-        return 1
-    n = 1
-    for a in obj.args:
-        n += symbol_count(a)
-    return n
+    if isinstance(obj, Atom):
+        return 1 + sum(a.size for a in obj.args)
+    return obj.size
 
 
 def is_subterm(s: Term, t: Term) -> bool:
     """True iff s occurs in t (every term is a subterm of itself)."""
-    if s == t:
+    if s is t:
         return True
-    if isinstance(t, Var):
+    # Only terms deeper than s, and non-ground ones when s is, can hold s.
+    depth, ground = s.depth, s.ground
+    if t.depth <= depth or (t.ground and not ground):
         return False
-    return any(is_subterm(s, a) for a in t.args)
+    stack = [t]
+    seen: set[Term] = set()
+    while stack:
+        for a in stack.pop().args:
+            if a is s:
+                return True
+            if a.depth > depth and (ground or not a.ground) and a not in seen:
+                seen.add(a)
+                stack.append(a)
+    return False
+
+
+def _rewrite(t: Term, image: Callable[[Var], Optional[Term]],
+             chase: bool = False) -> Term:
+    """t with every variable v replaced by image(v) when that is not None.
+
+    With `chase`, an image is itself rewritten (a triangular substitution,
+    which must be acyclic).  A loop, memoised on shared subterms; ground
+    subterms are kept as they are.
+    """
+    if t.ground:
+        return t
+    done: dict[Term, Term] = {}
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+        elif isinstance(node, Var):
+            new = image(node)
+            if new is None or not chase or new.ground:
+                done[node] = node if new is None else new
+                stack.pop()
+            elif new in done:
+                done[node] = done[new]
+                stack.pop()
+            else:
+                stack.append(new)
+        else:
+            todo = [a for a in node.args if not a.ground and a not in done]
+            if todo:
+                stack.extend(todo)
+            else:
+                stack.pop()
+                done[node] = App(node.fn, tuple(
+                    a if a.ground else done[a] for a in node.args))
+    return done[t]
 
 
 class Substitution(Mapping[Var, Term]):
@@ -232,7 +469,7 @@ class Substitution(Mapping[Var, Term]):
 
     def __init__(self, mapping: Union[Mapping[Var, Term], Iterable[tuple[Var, Term]]] = ()):
         items = mapping.items() if isinstance(mapping, Mapping) else mapping
-        self._map: dict[Var, Term] = {v: t for v, t in items if t != v}
+        self._map: dict[Var, Term] = {v: t for v, t in items if t is not v}
 
     def __getitem__(self, v: Var) -> Term:
         return self._map[v]
@@ -251,14 +488,16 @@ class Substitution(Mapping[Var, Term]):
     def apply_term(self, t: Term) -> Term:
         if isinstance(t, Var):
             return self._map.get(t, t)
-        if not t.args:
-            return t
-        return App(t.fn, tuple(self.apply_term(a) for a in t.args))
+        return _rewrite(t, self._map.get)
 
     def apply_atom(self, a: Atom) -> Atom:
+        if a.ground:
+            return a
         return Atom(a.pred, tuple(self.apply_term(t) for t in a.args))
 
     def apply_literal(self, lit: Literal) -> Literal:
+        if lit.atom.ground:
+            return lit
         return Literal(self.apply_atom(lit.atom), lit.positive)
 
     def apply_clause(self, c: Clause, origin: Optional[str] = None) -> Clause:
@@ -289,12 +528,6 @@ def apply(s: Substitution, c: Clause) -> Clause:
     return s.apply_clause(c)
 
 
-def _occurs(v: Var, t: Term) -> bool:
-    if isinstance(t, Var):
-        return v == t
-    return any(_occurs(v, a) for a in t.args)
-
-
 def unify_terms(pairs: Sequence[tuple[Term, Term]]) -> Optional[Substitution]:
     """Most general unifier of the given term pairs, with occurs-check.
 
@@ -303,27 +536,41 @@ def unify_terms(pairs: Sequence[tuple[Term, Term]]) -> Optional[Substitution]:
     """
     subst: dict[Var, Term] = {}
 
-    def _sub_all(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t in subst:
-                return _sub_all(subst[t])
-            return t
-        if not t.args:
-            return t
-        return App(t.fn, tuple(_sub_all(a) for a in t.args))
+    def resolve(t: Term) -> Term:
+        while isinstance(t, Var) and t in subst:
+            t = subst[t]
+        return t
+
+    def occurs(v: Var, t: Term) -> bool:
+        # v in t under the bindings made so far.
+        stack = [t]
+        seen: set[Term] = set()
+        while stack:
+            u = stack.pop()
+            if u is v:
+                return True
+            if u.ground or u in seen:
+                continue
+            seen.add(u)
+            if isinstance(u, Var):
+                if u in subst:
+                    stack.append(subst[u])
+            else:
+                stack.extend(u.args)
+        return False
 
     stack: list[tuple[Term, Term]] = list(reversed(pairs))
     while stack:
         s, t = stack.pop()
-        s, t = _sub_all(s), _sub_all(t)
-        if s == t:
+        s, t = resolve(s), resolve(t)
+        if s is t:
             continue
         if isinstance(s, Var):
-            if _occurs(s, t):
+            if occurs(s, t):
                 return None
             subst[s] = t
         elif isinstance(t, Var):
-            if _occurs(t, s):
+            if occurs(t, s):
                 return None
             subst[t] = s
         else:
@@ -332,7 +579,8 @@ def unify_terms(pairs: Sequence[tuple[Term, Term]]) -> Optional[Substitution]:
             stack.extend(reversed(list(zip(s.args, t.args))))
 
     # Flatten the triangular form into an idempotent substitution.
-    return Substitution({v: _sub_all(t) for v, t in subst.items()})
+    return Substitution({v: _rewrite(t, subst.get, chase=True)
+                         for v, t in subst.items()})
 
 
 def unify(a: Atom, b: Atom) -> Optional[Substitution]:
@@ -349,11 +597,14 @@ def match_terms(pairs: Sequence[tuple[Term, Term]],
     stack: list[tuple[Term, Term]] = list(reversed(pairs))
     while stack:
         p, t = stack.pop()
-        if isinstance(p, Var):
+        if p.ground:
+            if p is not t:
+                return None
+        elif isinstance(p, Var):
             bound = out.get(p)
             if bound is None:
                 out[p] = t
-            elif bound != t:
+            elif bound is not t:
                 return None
         else:
             if isinstance(t, Var) or p.fn != t.fn or len(p.args) != len(t.args):
@@ -397,14 +648,16 @@ class Signature:
         return sorted(name for name, ar in self.functions.items() if ar == 0)
 
     def _add_term(self, t: Term) -> None:
-        if isinstance(t, Var):
-            return
-        seen = self.functions.setdefault(t.fn, len(t.args))
-        if seen != len(t.args):
-            raise ValueError(
-                f"arity clash for function '{t.fn}': {seen} vs {len(t.args)}")
-        for a in t.args:
-            self._add_term(a)
+        stack = [t]  # preorder, so the first arity seen is the leftmost
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Var):
+                continue
+            seen = self.functions.setdefault(t.fn, len(t.args))
+            if seen != len(t.args):
+                raise ValueError(
+                    f"arity clash for function '{t.fn}': {seen} vs {len(t.args)}")
+            stack.extend(reversed(t.args))
 
     def add_clause(self, c: Clause) -> None:
         for lit in c.literals:
@@ -481,19 +734,16 @@ def canonicalize(c: Clause, origin: Optional[str] = None) -> Clause:
     """Rename variables to a fixed alphabet in first-occurrence order."""
     order: list[Var] = []
     seen: set[Var] = set()
-
-    def visit(t: Term) -> None:
-        if isinstance(t, Var):
-            if t not in seen:
-                seen.add(t)
-                order.append(t)
-        else:
-            for a in t.args:
-                visit(a)
-
     for lit in c.literals:
-        for t in lit.atom.args:
-            visit(t)
+        stack = [t for t in reversed(lit.atom.args) if not t.ground]
+        while stack:  # preorder, left to right
+            t = stack.pop()
+            if isinstance(t, Var):
+                if t not in seen:
+                    seen.add(t)
+                    order.append(t)
+            else:
+                stack.extend(a for a in reversed(t.args) if not a.ground)
     names = list(_CANONICAL_NAMES) + [f"V{i}" for i in range(1, len(order) + 1)]
     ren = Substitution({v: Var(names[i]) for i, v in enumerate(order)})
     return ren.apply_clause(c, origin=origin if origin is not None else c.origin)

@@ -169,3 +169,39 @@ def bounded_substitutions(variables: list[Var], terms: list[Term]):
     """Every substitution mapping the given variables into the term pool."""
     for combo in itertools.product(terms, repeat=len(variables)):
         yield dict(zip(variables, combo))
+
+
+# -- reference definitions of the cached term fields -------------------
+#
+# Direct recursion on the structure, the way the fields were defined
+# before terms were hash-consed; usable on terms of modest depth only.
+
+def ref_rebuild(t: Term) -> Term:
+    """A fresh construction of t from its structure."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    return App(t.fn, tuple(ref_rebuild(a) for a in t.args))
+
+
+def ref_term_key(t: Term) -> tuple:
+    if isinstance(t, Var):
+        return (0, t.name)
+    return (1, t.fn, tuple(ref_term_key(a) for a in t.args))
+
+
+def ref_depth(t: Term) -> int:
+    if isinstance(t, Var) or not t.args:
+        return 0
+    return 1 + max(ref_depth(a) for a in t.args)
+
+
+def ref_ground(t: Term) -> bool:
+    if isinstance(t, Var):
+        return False
+    return all(ref_ground(a) for a in t.args)
+
+
+def ref_symbol_count(t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    return 1 + sum(ref_symbol_count(a) for a in t.args)

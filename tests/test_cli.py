@@ -177,6 +177,38 @@ class TestVerifyModel:
         assert "empty clause" in proc.stderr
 
 
+def chain_file(tmp_path, k):
+    """The two-clause p/q chain theory with the ground unit ~p(f^k(a), f^k(b))."""
+    def nest(leaf):
+        return "f(" * k + leaf + ")" * k
+
+    path = tmp_path / f"chain-k{k}.p"
+    path.write_text("~p(X1, Y1) | *q(f(X1), Y1)\n"
+                    "~q(X2, Y2) | *p(X2, f(Y2))\n"
+                    f"~p({nest('a')}, {nest('b')})\n")
+    return path
+
+
+class TestDeepChains:
+    def test_chain_k100_is_sat_with_200_instantiations(self, tmp_path):
+        proc = run_cli(["solve", str(chain_file(tmp_path, 100)),
+                        "--order", "subterm", "--trace"])
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "sat"
+        trace = proc.stderr.splitlines()
+        assert sum(line.startswith("instantiate ") for line in trace) == 200
+
+    def test_chain_k1000_gives_a_verdict_without_traceback(self, tmp_path):
+        proc = run_cli(["solve", str(chain_file(tmp_path, 1000)),
+                        "--order", "subterm", "--timeout", "2"])
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] in ("sat", "unknown")
+        if lines[0] == "unknown":
+            assert lines[1] == "reason: timeout exceeded"
+
+
 class TestDeterminism:
     def test_traces_are_byte_identical_across_processes(self):
         args = ["solve", "problems/goodsel_trig1.p", "--trace"]

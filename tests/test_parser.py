@@ -108,3 +108,23 @@ class TestModelFiles:
     def test_nonground_rejected(self):
         with pytest.raises(ParseError, match="ground"):
             parse_model_text("p(X)\n")
+
+
+class TestDeepTerms:
+    TEXT = "p(" + "f(" * 5000 + "a" + ")" * 5000 + ", X) | ~q(b)\n"
+
+    def test_parse_print_reparse(self):
+        first = parse_problem(self.TEXT)
+        second = parse_problem(self.TEXT)
+        c1, c2 = first.theory[0], second.theory[0]
+        assert c1 == c2
+        assert all(l1 is l2 for l1, l2 in zip(c1.literals, c2.literals))
+        printed = format_clause(c1) + "\n"
+        assert printed == self.TEXT
+        again = parse_problem(printed).theory[0]
+        assert again.literals[0] is c1.literals[0]
+
+    def test_deep_model_literal(self):
+        text = "~p(" + "f(" * 5000 + "a" + ")" * 5000 + ")\n"
+        lits = parse_model_text(text)
+        assert format_model(lits) == text

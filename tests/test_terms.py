@@ -4,27 +4,40 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from trigsat.ordering import Comparison, OrderingSpec, compare_atoms
 from trigsat.terms import (
+    App,
     Atom,
     Literal,
     Signature,
     Substitution,
     Var,
     apply,
+    canonicalize,
     clause,
     const,
     enumerate_ground_instances,
     fn,
     ground_terms,
+    is_subterm,
     match_literal,
     match_onto,
+    symbol_count,
     term_depth,
+    term_key,
     unify,
     vars_of,
 )
 
-from oracles import ground_terms_by_depth
-from strategies import atoms, clauses, ground_substitutions
+from oracles import (
+    ground_terms_by_depth,
+    ref_depth,
+    ref_ground,
+    ref_rebuild,
+    ref_symbol_count,
+    ref_term_key,
+)
+from strategies import atoms, clauses, ground_substitutions, terms
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 a, b = const("a"), const("b")
@@ -256,3 +269,89 @@ class TestClauseSemantics:
                clause([lit(Atom("p", (a, b)))])]
         with pytest.raises(ValueError, match="arity clash"):
             Signature.from_clauses(bad)
+
+
+def nest(depth, leaf, name="f"):
+    t = leaf
+    for _ in range(depth):
+        t = App(name, (t,))
+    return t
+
+
+class TestHashConsing:
+    def test_equal_values_are_one_object(self):
+        assert fn("f", X, a) is fn("f", Var("X"), const("a"))
+        assert Atom("p", [X]) is Atom("p", (X,))
+        assert lit(Atom("p", (X,)), False) is lit(Atom("p", (X,)), False)
+        assert lit(Atom("p", (X,))).complement().complement() is \
+            lit(Atom("p", (X,)))
+
+    @given(terms(max_depth=5))
+    def test_cached_fields_match_reference_definitions(self, t):
+        rebuilt = ref_rebuild(t)
+        assert rebuilt is t
+        assert hash(rebuilt) == hash(t)
+        assert term_depth(t) == ref_depth(t)
+        assert t.ground == ref_ground(t)
+        assert symbol_count(t) == ref_symbol_count(t)
+        assert term_key(t) == ref_term_key(t)
+
+    @given(terms(max_depth=4), terms(max_depth=4),
+           st.sampled_from([0, 1, 70]), st.sampled_from([0, 1, 70]))
+    def test_key_order_matches_reference_at_any_depth(self, s, t, ds, dt):
+        # Depth 70 passes the depth at which keys stop being nested tuples.
+        s, t = nest(ds, s, "g"), nest(dt, t, "g")
+        ks, kt = term_key(s), term_key(t)
+        rs, rt = ref_term_key(s), ref_term_key(t)
+        assert (ks < kt) == (rs < rt)
+        assert (ks > kt) == (rs > rt)
+        assert (ks == kt) == (rs == rt) == (s is t)
+        assert sorted([kt, ks]) == ([ks, kt] if rs <= rt else [kt, ks])
+
+
+class TestDeepTerms:
+    """Depth 5000 is far past Python's recursion limit."""
+
+    DEPTH = 5000
+
+    def test_keys_and_variables(self):
+        deep_a, deep_b = nest(self.DEPTH, a), nest(self.DEPTH, b)
+        assert term_key(deep_a) < term_key(deep_b)
+        assert term_key(deep_a) == term_key(nest(self.DEPTH, a))
+        assert sorted([term_key(deep_b), term_key(a), term_key(deep_a)]) == \
+            [term_key(a), term_key(deep_a), term_key(deep_b)]
+        assert vars_of(nest(self.DEPTH, X)) == {X}
+        assert vars_of(deep_a) == set()
+        assert term_depth(deep_a) == self.DEPTH
+
+    def test_subterms(self):
+        deep = nest(self.DEPTH, X)
+        assert is_subterm(nest(self.DEPTH - 1000, X), deep)
+        assert is_subterm(X, deep)
+        assert not is_subterm(deep, nest(self.DEPTH - 1, X))
+        assert not is_subterm(a, deep)
+
+    @pytest.mark.parametrize("kind", ["weight", "subterm"])
+    def test_compare_atoms(self, kind):
+        o = OrderingSpec(kind=kind)
+        big = Atom("p", (nest(self.DEPTH, a),))
+        small = Atom("p", (nest(self.DEPTH - 1, a),))
+        assert compare_atoms(o, big, small) is Comparison.GT
+        assert compare_atoms(o, small, big) is Comparison.LT
+        assert compare_atoms(o, big, big) is Comparison.EQ
+        open_big = Atom("p", (nest(self.DEPTH, X),))
+        assert compare_atoms(o, open_big, small) is not Comparison.EQ
+
+    def test_unify_match_apply_canonicalize(self):
+        pattern = Atom("p", (nest(self.DEPTH, X), Y))
+        target = Atom("p", (nest(self.DEPTH, a), b))
+        sigma = unify(pattern, target)
+        assert sigma is not None and sigma[X] == a and sigma[Y] == b
+        assert unify(Atom("p", (X, X)), Atom("p", (Y, nest(self.DEPTH, Y)))) \
+            is None
+        assert match_literal(lit(pattern), lit(target)) == {X: a, Y: b}
+        c = clause([lit(pattern, False)])
+        assert apply(sigma, c) == clause([lit(target, False)])
+        renamed = clause([lit(Atom("p", (nest(self.DEPTH, Z), Y)))])
+        assert canonicalize(renamed) == clause(
+            [lit(Atom("p", (nest(self.DEPTH, X), Y)))])
