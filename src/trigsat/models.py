@@ -17,6 +17,7 @@ undefined, and falsification is the refutable condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from .ordering import Comparison, OrderingSpec, compare_clauses, compare_literals
@@ -158,22 +159,17 @@ class ProductionRecord:
 def _total_clause_sort(entries: list[tuple[Clause, frozenset[int]]],
                        o: OrderingSpec) -> list[tuple[Clause, frozenset[int]]]:
     """Ascending multiset sort; raises when two clauses do not compare."""
-    items = list(entries)
-    out: list[tuple[Clause, frozenset[int]]] = []
-    while items:
-        best_idx = 0
-        for idx in range(1, len(items)):
-            cmp = compare_clauses(o, items[idx][0], items[best_idx][0])
-            if cmp is Comparison.INCOMPARABLE:
-                raise ValueError("ordering not total on ground clauses")
-            if cmp is Comparison.LT:
-                best_idx = idx
-            elif cmp is Comparison.EQ:
-                # Multiset-equal duplicates process first-come by identifier.
-                if items[idx][0].cid < items[best_idx][0].cid:
-                    best_idx = idx
-        out.append(items.pop(best_idx))
-    return out
+    def cmp(x: tuple[Clause, frozenset[int]],
+            y: tuple[Clause, frozenset[int]]) -> int:
+        c = compare_clauses(o, x[0], y[0])
+        if c is Comparison.INCOMPARABLE:
+            raise ValueError("ordering not total on ground clauses")
+        if c is Comparison.EQ:
+            # Multiset-equal duplicates process first-come by identifier.
+            return x[0].cid - y[0].cid
+        return -1 if c is Comparison.LT else 1
+
+    return sorted(entries, key=cmp_to_key(cmp))
 
 
 def _largest_literal(c: Clause, o: OrderingSpec) -> Literal:
@@ -199,15 +195,15 @@ def produce_model(fs: list[tuple[Clause, frozenset[int]]], o: OrderingSpec
     """
     ordered = _total_clause_sort(fs, o)
     produced: list[Literal] = []
+    true_atoms: set[Atom] = set()
     universe: list[Literal] = []
     records: list[ProductionRecord] = []
     for c, sel in ordered:
-        if c.is_empty:
-            records.append(ProductionRecord(c, False))
-            continue
-        here = int_of(produced, universe + list(c.literals))
         universe.extend(c.literals)
-        if here.satisfies_clause(c) is True:
+        # Every atom of c is in the universe now, and each one not produced
+        # so far is false in the interpretation built up to c.
+        if c.is_empty or any((lit.atom in true_atoms) == lit.positive
+                             for lit in c.literals):
             records.append(ProductionRecord(c, False))
             continue
         top = _largest_literal(c, o)
@@ -215,6 +211,7 @@ def produce_model(fs: list[tuple[Clause, frozenset[int]]], o: OrderingSpec
         if (top.positive and len(occurrences) == 1
                 and occurrences[0] in sel):
             produced.append(top)
+            true_atoms.add(top.atom)
             records.append(ProductionRecord(c, True, top.atom))
         else:
             records.append(ProductionRecord(c, False))

@@ -187,9 +187,6 @@ class Problem:
     def clauses(self) -> list[Clause]:
         return self.theory + self.ground
 
-    def annotated(self) -> bool:
-        return bool(self.selection)
-
 
 def parse_problem(text: str) -> Problem:
     problem = Problem()

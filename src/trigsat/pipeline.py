@@ -57,8 +57,6 @@ class SolveOptions:
     budgets: Budgets = Budgets()
     saturation_budget: InferenceBudget = InferenceBudget()
     trace: bool = False
-    horn_monitor: bool = False
-    twosat_monitor: bool = False
 
     def resolved_extend(self) -> str:
         if self.extend_select is not None:
@@ -165,8 +163,6 @@ def solve_problem(problem: Problem, options: SolveOptions) -> SolveResult:
         instantiate_mode=options.instantiate,
         budgets=options.budgets,
         trace=options.trace,
-        horn_monitor=options.horn_monitor,
-        twosat_monitor=options.twosat_monitor,
     )
     run = solver.run()
     result.run = run
@@ -190,6 +186,10 @@ def verify_model(problem: Problem, model_literals: list[Literal],
     under their selection, combines it with the given ground model, and
     reports any instance of the input theory the combination falsifies.
     """
+    if options.ordering.kind == "subterm":
+        raise ContractError("cannot build the candidate model: the subterm "
+                            "ordering is not total on ground clauses (use "
+                            "--order weight)")
     saturation = prepare_theory(problem, options)
     if saturation.outcome is SaturationOutcome.DERIVED_BOTTOM:
         raise ContractError("theory unsatisfiable: saturation derived the "
@@ -202,11 +202,7 @@ def verify_model(problem: Problem, model_literals: list[Literal],
     entries = [(c, saturation.selection[c.cid]) for c in theory]
     filtered = filtered_ground_instances(entries, ground_model,
                                          problem.signature, depth)
-    try:
-        constructed, _records = produce_model(filtered, options.ordering)
-    except ValueError as exc:  # the ordering does not compare two clauses
-        raise ContractError(f"cannot build the candidate model: {exc} "
-                            f"(use --order weight)") from exc
+    constructed, _records = produce_model(filtered, options.ordering)
     combined = combine(constructed, ground_model)
     report = verify_no_falsified(combined, problem.theory, problem.ground,
                                  problem.signature, depth)

@@ -78,14 +78,11 @@ def subsumes(c: Clause, d: Clause) -> bool:
     """True iff some substitution maps c onto a sub-multiset of d."""
     if len(c) > len(d):
         return False
-    # Most constrained literals first keeps the backtracking shallow.
-    order = sorted(range(len(c.literals)),
-                   key=lambda i: -len(str(c.literals[i])))
 
     def assign(idx: int, used: frozenset[int], bindings) -> bool:
-        if idx == len(order):
+        if idx == len(c.literals):
             return True
-        lit = c.literals[order[idx]]
+        lit = c.literals[idx]
         for j, target in enumerate(d.literals):
             if j in used:
                 continue
@@ -121,6 +118,8 @@ def resolve(c1: Clause, pos1: int, c2: Clause, pos2: int,
         raise ValueError("resolution literal in the second premise must be negative")
     if sel2 is not None and pos2 not in set(sel2):
         raise ValueError("resolution literal in the second premise is not selected")
+    if lit1.atom.pred != lit2.atom.pred:
+        return None
     c2r = rename_apart(c2, vars_of(c1))
     sigma = unify(lit1.atom, c2r.literals[pos2].atom)
     if sigma is None:

@@ -22,7 +22,6 @@ from .terms import Clause, Var, vars_of
 MAX_SELECTED = 8
 
 STRATEGIES = ("max", "maximal", "neg", "all")
-EXTEND_MODES = ("error", "max", "maximal", "neg", "all", "auto")
 
 
 class SelectionError(Exception):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Optional
 
+from trigsat.models import ProductionRecord, int_of
+from trigsat.ordering import Comparison, compare_clauses, compare_literals
 from trigsat.terms import App, Atom, Clause, Term, Var
 
 
@@ -205,3 +207,55 @@ def ref_symbol_count(t: Term) -> int:
     if isinstance(t, Var):
         return 1
     return 1 + sum(ref_symbol_count(a) for a in t.args)
+
+
+# -- reference candidate-model construction ----------------------------
+#
+# The production loop as first written: a selection sort over the clause
+# ordering, then an interpretation rebuilt from scratch for each clause.
+# It shares the clause ordering and `int_of` with the code it checks; the
+# sort and the per-clause truth test are what it stands in for.
+
+def ref_produce_model(fs, o):
+    """Reference for `trigsat.models.produce_model`."""
+    items = list(fs)
+    ordered = []
+    while items:
+        best_idx = 0
+        for idx in range(1, len(items)):
+            cmp = compare_clauses(o, items[idx][0], items[best_idx][0])
+            if cmp is Comparison.INCOMPARABLE:
+                raise ValueError("ordering not total on ground clauses")
+            if cmp is Comparison.LT:
+                best_idx = idx
+            elif cmp is Comparison.EQ:
+                if items[idx][0].cid < items[best_idx][0].cid:
+                    best_idx = idx
+        ordered.append(items.pop(best_idx))
+
+    produced = []
+    universe = []
+    records = []
+    for c, sel in ordered:
+        if c.is_empty:
+            records.append(ProductionRecord(c, False))
+            continue
+        here = int_of(produced, universe + list(c.literals))
+        universe.extend(c.literals)
+        if here.satisfies_clause(c) is True:
+            records.append(ProductionRecord(c, False))
+            continue
+        top = c.literals[0]
+        for lit in c.literals[1:]:
+            cmp = compare_literals(o, lit, top)
+            if cmp is Comparison.INCOMPARABLE:
+                raise ValueError("ordering not total on ground clauses")
+            if cmp is Comparison.GT:
+                top = lit
+        occurrences = [i for i, l in enumerate(c.literals) if l == top]
+        if top.positive and len(occurrences) == 1 and occurrences[0] in sel:
+            produced.append(top)
+            records.append(ProductionRecord(c, True, top.atom))
+        else:
+            records.append(ProductionRecord(c, False))
+    return int_of(produced, universe), records

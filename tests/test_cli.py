@@ -167,6 +167,20 @@ class TestVerifyModel:
         assert "Traceback" not in proc.stderr
         assert "--order weight" in proc.stderr
 
+    def test_verify_subterm_refusal_does_not_depend_on_instances(self,
+                                                                 tmp_path):
+        # The model satisfies the only instance, so no clause is left to
+        # compare: the refusal must come before any grounding.
+        problem = tmp_path / "pq.p"
+        problem.write_text("*~p(X) | q(X)\np(a)\n")
+        model = tmp_path / "model.lits"
+        model.write_text("p(a)\nq(a)\n")
+        proc = run_cli(["verify-model", str(problem), "--order", "subterm",
+                        "--model", str(model), "--verify-depth", "1"])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--order weight" in proc.stderr
+
     def test_verify_bottom_theory_is_contract_error(self, tmp_path):
         problem = tmp_path / "bottom.p"
         problem.write_text("*p(X1)\n*~p(X2)\ng(a, b)\n")

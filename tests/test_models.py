@@ -30,6 +30,7 @@ from trigsat.terms import (
     vars_of,
 )
 
+from oracles import ref_produce_model
 from strategies import ground_literals, ground_substitutions, clauses
 
 a, b, c, d = const("a"), const("b"), const("c"), const("d")
@@ -176,6 +177,48 @@ class TestProduceModel:
         for r in records:
             if r.produced:
                 assert model.value(Literal(r.atom)) is True
+
+
+SYMBOLS = ("f", "g", "a", "b", "p", "q", "r")
+
+
+@st.composite
+def weight_orderings(draw):
+    weights = draw(st.dictionaries(st.sampled_from(SYMBOLS),
+                                   st.integers(1, 4), max_size=4))
+    precedence = draw(st.permutations(SYMBOLS))[:draw(st.integers(0, 7))]
+    return OrderingSpec(kind="weight", weights=weights,
+                        precedence=tuple(precedence),
+                        precedence_dominant=draw(st.booleans()))
+
+
+@st.composite
+def production_inputs(draw):
+    """Ground (clause, selection) lists over a small literal pool, so that
+    literals repeat; with an empty clause and a multiset-equal duplicate."""
+    pool = draw(st.lists(ground_literals(max_depth=1), min_size=1,
+                         max_size=5))
+    shapes = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=3), min_size=1, max_size=8))
+    shapes.append([])
+    shapes.append(draw(st.permutations(draw(st.sampled_from(shapes)))))
+    entries = []
+    for lits in draw(st.permutations(shapes)):
+        sel = draw(st.sets(st.integers(0, max(len(lits) - 1, 0)),
+                           max_size=len(lits)))
+        entries.append((Clause(tuple(lits), origin="instance"),
+                        frozenset(sel)))
+    return entries
+
+
+class TestProduceModelReference:
+    @given(production_inputs(), weight_orderings())
+    def test_matches_reference(self, entries, o):
+        model, records = produce_model(entries, o)
+        ref_model, ref_records = ref_produce_model(entries, o)
+        assert model == ref_model
+        assert ([(r.clause.cid, r.produced, r.atom) for r in records]
+                == [(r.clause.cid, r.produced, r.atom) for r in ref_records])
 
 
 class TestFilteringInvariants:
