@@ -55,12 +55,6 @@ class Trail:
         self.entries: list[TrailEntry] = []
         self._index: dict[Literal, int] = {}
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     @property
     def level(self) -> int:
         return self.entries[-1].level if self.entries else 0
@@ -79,18 +73,18 @@ class Trail:
         return (Literal(atom, True) in self._index
                 or Literal(atom, False) in self._index)
 
+    def _position(self, lit: Literal) -> Optional[int]:
+        idx = self._index.get(lit)  # lit's atom, in either polarity
+        return self._index.get(lit.complement()) if idx is None else idx
+
     def count(self, lit: Literal) -> float:
         """Trail position (1-based) of the assignment that determined lit's
         truth value; infinity when the atom is unassigned."""
-        idx = self._index.get(lit)
-        if idx is None:
-            idx = self._index.get(lit.complement())
+        idx = self._position(lit)
         return math.inf if idx is None else idx + 1
 
     def level_of(self, lit: Literal) -> float:
-        idx = self._index.get(lit)
-        if idx is None:
-            idx = self._index.get(lit.complement())
+        idx = self._position(lit)
         return math.inf if idx is None else self.entries[idx].level
 
     def entry_for(self, lit: Literal) -> TrailEntry:
@@ -177,11 +171,15 @@ class RunResult:
     final_ground: list[Clause] = field(default_factory=list)
 
 
-def _dedup_literals(lits: Iterable[Literal]) -> tuple[Literal, ...]:
-    out: dict[Literal, None] = {}
-    for lit in lits:
-        out.setdefault(lit)
-    return tuple(out)
+def _slim(c: Clause) -> Clause:
+    """c with duplicate literals merged, first occurrences kept; c itself
+    when it has none."""
+    lits = tuple(dict.fromkeys(c.literals))
+    return c if len(lits) == len(c.literals) else Clause(lits, origin=c.origin)
+
+
+class _Timeout(Exception):
+    """The run's deadline passed inside an instantiation search."""
 
 
 class Solver:
@@ -215,35 +213,52 @@ class Solver:
         # The atoms of G in first-seen order; G only grows.
         self._atoms: dict[Atom, None] = {}
         self._instances_in_ground: dict[int, set] = {}
+        self._deadline = math.inf  # run() sets it from budgets.timeout
         for c in ground:
             self._add_ground(c)
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _add_ground(self, c: Clause) -> bool:
-        # The engine's clause database merges duplicate literals: the
-        # duplicate-free form is equivalent and keeps conflict analysis
-        # (which merges duplicates anyway) aligned with the database.
+    def _add_ground(self, c: Clause) -> Optional[Clause]:
+        """Store c with duplicate literals merged, unless G has it; returns
+        the stored clause.  The merged form is equivalent and keeps conflict
+        analysis (which merges duplicates anyway) aligned with G."""
         assert c.is_ground, f"non-ground clause in G: {c}"
-        slim = Clause(_dedup_literals(c.literals), origin=c.origin)
+        slim = _slim(c)
         if slim.key in self._ground_keys:
-            return False
+            return None
         self._ground_keys.add(slim.key)
         self.ground.append(slim)
         for lit in slim.literals:
             self._atoms.setdefault(lit.atom)
-        return True
+        return slim
 
     def _emit(self, fmt: str, *args: object) -> None:
         # Formatted only when tracing: str() of a clause walks its terms.
         if self._tracing:
             self.trace.append(fmt.format(*args))
 
-    def atoms(self) -> list[Atom]:
-        return list(self._atoms)
+    def _unit_or_false(self, c: Clause) -> Optional[tuple[Literal, ...]]:
+        """() if the trail falsifies c, (l,) if l is c's one unassigned
+        literal and the rest are false, else None."""
+        unit: tuple[Literal, ...] = ()
+        for lit in c.literals:
+            v = self.trail.value(lit)
+            if v is True or (v is None and unit):
+                return None
+            if v is None:
+                unit = (lit,)
+        return unit
 
-    def _level(self) -> int:
-        return self.trail.level
+    def _rewind(self, c: Clause) -> None:
+        """Undo the trail for a clause just added to G: all of it for a unit,
+        else back to c's second literal if all but its newest are false."""
+        if len(c) == 1:
+            self.trail.clear()
+        elif len(c) >= 2:
+            tail = sort_clause(self.trail, c, self.ordering)[1:]
+            if all(self.trail.value(l) is False for l in tail):
+                self.trail.truncate_keep(int(self.trail.count(tail[0])))
 
     # -- rule applications ----------------------------------------------
 
@@ -251,24 +266,23 @@ class Solver:
         """Conflict: some clause of G is fully falsified by the trail."""
         assert self.lc is None
         for c in self.ground:
-            if all(self.trail.value(l) is False for l in c.literals):
+            if self._unit_or_false(c) == ():
                 self.lc = c
                 self.stats.conflicts += 1
                 self._bump_conflict_monitors(c)
-                self._emit("conflict {} level={}", c, self._level())
+                self._emit("conflict {} level={}", c, self.trail.level)
                 return True
         return False
 
     def _bump_conflict_monitors(self, c: Clause) -> None:
-        level = self._level()
+        level = self.trail.level
         if level > 0:
             self.stats.conflicts_above_level0 += 1
             if self._horn:
                 self.stats.note(
                     f"horn monitor: conflict at level {level} on {c}")
         if len(c) >= 2:
-            ordered = sort_clause(self.trail, c, self.ordering)
-            l1, l2 = ordered[0], ordered[1]
+            l1, l2 = sort_clause(self.trail, c, self.ordering)[:2]
             if self.trail.level_of(l1) != self.trail.level_of(l2):
                 self.stats.note(
                     f"conflict-level monitor: two newest falsified literals "
@@ -283,24 +297,13 @@ class Solver:
         """Propagate: a clause's sorted head is unassigned, the rest false."""
         assert self.lc is None
         for c in self.ground:
-            if not c.literals:
+            unit = self._unit_or_false(c)
+            if not unit:
                 continue
-            satisfied = False
-            undefined: list[Literal] = []
-            for lit in c.literals:
-                v = self.trail.value(lit)
-                if v is True:
-                    satisfied = True
-                    break
-                if v is None:
-                    undefined.append(lit)
-            if satisfied or len(undefined) != 1:
-                continue
-            lit = undefined[0]
-            level = self._level()
+            lit, = unit
+            level = self.trail.level
             if len(c) >= 2:
-                ordered = sort_clause(self.trail, c, self.ordering)
-                second = ordered[1]
+                second = sort_clause(self.trail, c, self.ordering)[1]
                 if self.trail.level_of(second) != level:
                     self.stats.note(
                         f"propagation-level monitor: {c} propagates {lit} "
@@ -314,21 +317,6 @@ class Solver:
             return True
         return False
 
-    def _propagation_or_conflict_pending(self) -> bool:
-        for c in self.ground:
-            satisfied = False
-            undefined = 0
-            for lit in c.literals:
-                v = self.trail.value(lit)
-                if v is True:
-                    satisfied = True
-                    break
-                if v is None:
-                    undefined += 1
-            if not satisfied and undefined <= 1:
-                return True
-        return False
-
     def decide(self, _guard_checked: bool = False) -> bool:
         """Decide: set the smallest unassigned atom false, one level deeper.
 
@@ -336,7 +324,8 @@ class Solver:
         main loop establishes that by rule priority and skips the check.
         """
         assert self.lc is None
-        if not _guard_checked and self._propagation_or_conflict_pending():
+        if not _guard_checked and any(
+                self._unit_or_false(c) is not None for c in self.ground):
             raise RuntimeError(
                 "decide blocked: a propagation or conflict is pending")
         unassigned = [a for a in self._atoms if not self.trail.defines(a)]
@@ -347,7 +336,7 @@ class Solver:
         for a in unassigned[1:]:
             if compare_atoms(self.ordering, a, best) is Comparison.LT:
                 best = a
-        level = self._level() + 1
+        level = self.trail.level + 1
         self.trail.push(Literal(best, False), level, None)
         self.stats.decides += 1
         self.stats._dp_since_event += 1
@@ -358,19 +347,17 @@ class Solver:
     def backjump_applicable(self) -> bool:
         if self.lc is None or self.lc.is_empty:
             return False
-        ordered = sort_clause(self.trail, self.lc, self.ordering)
-        head = ordered[0]
-        flipped = head.complement()
+        head, *rest = sort_clause(self.trail, self.lc, self.ordering)
         if self.trail.value(head) is not False:
             return False
-        entry = self.trail.entry_for(flipped)
+        entry = self.trail.entry_for(head.complement())
         if entry.level == 0:
             # Level-0 conflicts resolve all the way down to the empty
             # clause; every level-0 assignment has a reason.
             assert entry.reason is not None
             return True
         same_level = any(self.trail.level_of(l) == entry.level
-                         for l in ordered[1:])
+                         for l in rest)
         if not same_level:
             return False
         assert entry.reason is not None, (
@@ -381,13 +368,12 @@ class Solver:
     def backjump_step(self) -> None:
         """Resolve the conflict clause with the reason of its newest literal."""
         assert self.lc is not None and not self.lc.is_empty
-        ordered = sort_clause(self.trail, self.lc, self.ordering)
-        head = ordered[0]
-        reason = self.trail.entry_for(head.complement()).reason
+        head, *rest = sort_clause(self.trail, self.lc, self.ordering)
+        flipped = head.complement()
+        reason = self.trail.entry_for(flipped).reason
         assert reason is not None
-        delta = [l for l in reason.literals if l != head.complement()]
-        merged = _dedup_literals(tuple(delta) + tuple(ordered[1:]))
-        self.lc = Clause(merged, origin="learned")
+        merged = [l for l in reason.literals if l != flipped] + rest
+        self.lc = Clause(tuple(dict.fromkeys(merged)), origin="learned")
         self.stats.backjumps += 1
         self.stats._bj_this_conflict += 1
         n = len(self._atoms)
@@ -395,13 +381,13 @@ class Solver:
             self.stats.note(
                 f"backjump-count monitor: {self.stats._bj_this_conflict} "
                 f"resolution steps in one conflict with {n} atoms")
-        self._emit("backjump {} level={}", self.lc, self._level())
+        self._emit("backjump {} level={}", self.lc, self.trail.level)
 
     def learn(self) -> None:
         """Add the conflict clause to G and rewind the trail."""
         c = self.lc
         assert c is not None and not c.is_empty
-        level = self._level()
+        level = self.trail.level
         if level == 0 and len(c) > 1:
             self.stats.note(
                 f"level-zero monitor: learned clause {c} with "
@@ -413,45 +399,36 @@ class Solver:
         self.stats.learns += 1
         self.stats.learned_sizes.append(len(c))
         self.stats._dp_since_event = 0
-        if len(c) == 1:
-            self.trail.clear()
-        else:
-            ordered = sort_clause(self.trail, c, self.ordering)
-            second = ordered[1]
-            keep = int(self.trail.count(second))
-            self.trail.truncate_keep(keep)
+        self._rewind(c)
         self.lc = None
-        self._emit("learn {} level={}", c, self._level())
+        self._emit("learn {} level={}", c, self.trail.level)
 
     def instantiate_step(self) -> str:
         """Add one new ground instance whose selected literals all have
         their complements on the trail; rewind like Learn if falsified.
 
-        Returns "added", "none", or "budget".  The budget outcome fires
-        only when a new instance exists: Succeed would be unsound with an
-        applicable Instantiate, so the run must stop instead.
+        Returns "added", "none", "budget" or "timeout".  The budget outcome
+        fires only when a new instance exists: Succeed would be unsound
+        with an applicable Instantiate, so the run must stop instead.  The
+        timeout outcome fires when the deadline `run` sets passes during
+        the search.
         """
         assert self.lc is None
-        found = self._find_new_instance()
+        try:
+            found = self._find_new_instance()
+        except _Timeout:
+            return "timeout"
         if found is None:
             return "none"
         if self.stats.instantiations >= self.budgets.max_instantiations:
             return "budget"
         parent, theta, instance = found
-        self._add_ground(instance)
+        added = self._add_ground(instance)  # duplicate-literal-merged form
         self.stats.instantiations += 1
         self.stats._dp_since_event = 0
         self._emit("instantiate {} from {} level={}", instance, parent,
-                   self._level())
-        added = self.ground[-1]  # duplicate-literal-merged form
-        if len(added) == 1:
-            self.trail.clear()
-        elif len(added) >= 2:
-            ordered = sort_clause(self.trail, added, self.ordering)
-            tail = ordered[1:]
-            if all(self.trail.value(l) is False for l in tail):
-                keep = int(self.trail.count(tail[0]))
-                self.trail.truncate_keep(keep)
+                   self.trail.level)
+        self._rewind(added)
         return "added"
 
     def _find_new_instance(self) -> Optional[tuple[Clause, Substitution, Clause]]:
@@ -467,40 +444,41 @@ class Solver:
 
     def _search_all(self, patterns: list[Literal], trail_lits: list[Literal],
                     c: Clause) -> Optional[tuple[Clause, Substitution, Clause]]:
+        """Find, depth-first in trail order, the first match of the patterns
+        to trail literals whose instance of c is not in G.  Frame i holds the
+        bindings of patterns < i and the trail literals left for pattern i."""
         # Matches whose instance is known to be in G (which only grows).
         # Every full match binds the same variables in the same order, so
         # the bound terms alone identify it.
         in_ground = self._instances_in_ground.setdefault(c.cid, set())
-
-        def go(i: int, bindings) -> Optional[tuple[Clause, Substitution, Clause]]:
-            if i == len(patterns):
-                match = tuple(bindings.values())
-                if match in in_ground:
-                    return None
-                theta = Substitution(bindings)
-                instance = theta.apply_clause(c, origin="instance")
-                assert instance.is_ground, (
-                    "valid selections cover all clause variables, so a full "
-                    "match grounds the clause")
-                slim = Clause(_dedup_literals(instance.literals),
-                              origin="instance")
-                if slim.key in self._ground_keys:
-                    in_ground.add(match)
-                    return None
+        frames = [({}, iter(trail_lits))]
+        while frames:
+            if time.monotonic() > self._deadline:
+                raise _Timeout
+            bindings, todo = frames[-1]
+            if len(frames) <= len(patterns):
+                pattern = patterns[len(frames) - 1]
+                for lit in todo:
+                    nxt = match_literal(pattern, lit, bindings)
+                    if nxt is not None:
+                        frames.append((nxt, iter(trail_lits)))
+                        break
+                else:
+                    frames.pop()
+                continue
+            frames.pop()
+            match = tuple(bindings.values())
+            if match in in_ground:
+                continue
+            theta = Substitution(bindings)
+            instance = theta.apply_clause(c, origin="instance")
+            assert instance.is_ground, (
+                "valid selections cover all clause variables, so a full "
+                "match grounds the clause")
+            if _slim(instance).key not in self._ground_keys:
                 return c, theta, instance
-            for lit in trail_lits:
-                nxt = match_literal(patterns[i], lit, bindings)
-                if nxt is None:
-                    continue
-                got = go(i + 1, nxt)
-                if got is not None:
-                    return got
-            return None
-
-        try:
-            return go(0, {})
-        finally:
-            del go  # no garbage cycle through the closure
+            in_ground.add(match)
+        return None
 
     def _check_dp_bound(self) -> None:
         n = len(self._atoms)
@@ -514,51 +492,44 @@ class Solver:
 
     def run(self) -> RunResult:
         started = time.monotonic()
+        self._deadline = started + self.budgets.timeout
 
-        def stop_unknown(reason: str) -> RunResult:
+        def finish(verdict: Verdict, line: str) -> RunResult:
             self.stats.wall_time = time.monotonic() - started
-            self._emit("unknown ({})", reason)
-            return RunResult(Verdict("unknown", (), reason),
-                             self.stats, self.trace, self.ground)
+            self._emit("{}", line)
+            return RunResult(verdict, self.stats, self.trace, self.ground)
 
         while True:
-            if time.monotonic() - started > self.budgets.timeout:
-                return stop_unknown("timeout exceeded")
-            if self.stats.conflicts > self.budgets.max_conflicts:
-                return stop_unknown("conflict budget exceeded")
-            if len(self.ground) > self.budgets.max_clauses:
-                return stop_unknown("clause budget exceeded")
-            if self.lc is not None:
+            if time.monotonic() > self._deadline:
+                reason = "timeout exceeded"
+            elif self.stats.conflicts > self.budgets.max_conflicts:
+                reason = "conflict budget exceeded"
+            elif len(self.ground) > self.budgets.max_clauses:
+                reason = "clause budget exceeded"
+            elif self.lc is not None:
                 if self.lc.is_empty:
-                    self.stats.wall_time = time.monotonic() - started
-                    self._emit("fail")
-                    return RunResult(Verdict("unsat"), self.stats,
-                                     self.trace, self.ground)
+                    return finish(Verdict("unsat"), "fail")
                 if self.backjump_applicable():
                     self.backjump_step()
                 else:
                     self.learn()
                 continue
-            if self.find_conflict():
+            elif (self.find_conflict() or self.propagate()
+                  or (self.mode == "lazy"
+                      and self.decide(_guard_checked=True))):
                 continue
-            if self.propagate():
-                continue
-            if self.mode == "eager":
+            else:
+                # Lazy mode has decided every atom by now; eager mode
+                # decides only when no new instance exists.
                 step = self.instantiate_step()
-                if step == "added":
+                if step == "added" or (
+                        step == "none" and self.mode == "eager"
+                        and self.decide(_guard_checked=True)):
                     continue
-                if step == "budget":
-                    return stop_unknown("instantiation budget exceeded")
-            if self.decide(_guard_checked=True):
-                continue
-            if self.mode == "lazy":
-                step = self.instantiate_step()
-                if step == "added":
-                    continue
-                if step == "budget":
-                    return stop_unknown("instantiation budget exceeded")
-            self.stats.wall_time = time.monotonic() - started
-            model = tuple(self.trail.literals())
-            self._emit("succeed")
-            return RunResult(Verdict("sat", model), self.stats,
-                             self.trace, self.ground)
+                if step == "none":
+                    return finish(Verdict("sat", tuple(self.trail.literals())),
+                                  "succeed")
+                reason = ("timeout exceeded" if step == "timeout"
+                          else "instantiation budget exceeded")
+            return finish(Verdict("unknown", (), reason),
+                          f"unknown ({reason})")

@@ -2,10 +2,10 @@
 
 Subcommands: solve, check-saturation, check-selection, verify-model.
 The first stdout line of `solve` is exactly `sat`, `unsat`, or `unknown`.
-Exit status: 0 for any verdict, 1 for usage or parse errors, 2 for
-contract errors (invalid selection, unsaturated theory without
---allow-unsaturated).  Traces and warnings go to stderr so stdout stays
-machine-readable.
+Exit status: 0 for any verdict, 1 for usage or parse errors and
+unreadable files, 2 for contract errors (invalid selection, unsaturated
+theory without --allow-unsaturated).  Traces and warnings go to stderr so
+stdout stays machine-readable.
 """
 
 from __future__ import annotations
@@ -66,6 +66,17 @@ def _parse_weights(text: str) -> dict[str, int]:
     return out
 
 
+def _non_negative(kind):
+    """argparse type: a number of `kind` that is >= 0 (NaN is refused)."""
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="trigsat")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -95,16 +106,18 @@ def build_parser() -> _Parser:
     common(solve)
     solve.add_argument("--instantiate", choices=("lazy", "eager"),
                        default="lazy")
-    solve.add_argument("--max-instantiations", type=int, default=50_000)
-    solve.add_argument("--max-clauses", type=int, default=None,
+    solve.add_argument("--max-instantiations", type=_non_negative(int),
+                       default=50_000)
+    solve.add_argument("--max-clauses", type=_non_negative(int), default=None,
                        help="clause cap (default 200000 solving, "
                             "10000 saturation)")
-    solve.add_argument("--timeout", type=float, default=None,
+    solve.add_argument("--timeout", type=_non_negative(float), default=None,
                        help="wall-clock cap in seconds (default 120 "
                             "solving, 60 saturation)")
     solve.add_argument("--allow-unsaturated", action="store_true")
     solve.add_argument("--trace", action="store_true",
-                       help="stream one line per rule application to stderr")
+                       help="print one line per rule application to stderr "
+                            "once the run ends")
     solve.add_argument("--emit-model", default=None, metavar="FILE",
                        help="write the model ('-' for stdout)")
 
@@ -123,18 +136,21 @@ def build_parser() -> _Parser:
                                  "depth-bounded grounding")
     common(verify)
     verify.add_argument("--model", required=True, help="model file")
-    verify.add_argument("--verify-depth", type=int, default=2)
+    verify.add_argument("--verify-depth", type=_non_negative(int), default=2)
 
     return parser
 
 
 def _options_from(args: argparse.Namespace) -> SolveOptions:
-    ordering = OrderingSpec(
-        kind=args.order,
-        precedence=_parse_precedence(args.precedence),
-        weights=_parse_weights(args.weights),
-        precedence_dominant=args.precedence_dominant,
-    )
+    try:
+        ordering = OrderingSpec(
+            kind=args.order,
+            precedence=_parse_precedence(args.precedence),
+            weights=_parse_weights(args.weights),
+            precedence_dominant=args.precedence_dominant,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     max_clauses = getattr(args, "max_clauses", None)
     timeout = getattr(args, "timeout", None)
     budgets = Budgets(
@@ -256,7 +272,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:

@@ -323,12 +323,6 @@ class Clause:
     def is_ground(self) -> bool:
         return all(lit.atom.ground for lit in self.literals)
 
-    def atoms(self) -> list[Atom]:
-        seen: dict[Atom, None] = {}
-        for lit in self.literals:
-            seen.setdefault(lit.atom)
-        return list(seen)
-
     def without_position(self, pos: int) -> tuple[Literal, ...]:
         return self.literals[:pos] + self.literals[pos + 1:]
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from trigsat.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -250,3 +252,45 @@ class TestInProcessEntry:
         status = main(["solve", str(PROBLEMS / "ex1.p")])
         assert status == 0
         assert capsys.readouterr().out.splitlines()[0] == "sat"
+
+
+class TestSearchTimeout:
+    def test_timeout_holds_inside_one_instantiation_search(self, tmp_path):
+        # 14^5 matches of five triggers against fourteen facts: one search
+        # runs for seconds unless it checks the deadline itself.
+        path = tmp_path / "wide.p"
+        path.write_text(
+            "*~p(X1) | *~p(X2) | *~p(X3) | *~p(X4) | *~p(X5) "
+            "| *~r(X1, X2, X3, X4, X5)\n"
+            + "".join(f"p(c{i})\n" for i in range(1, 15)))
+        proc = run_cli(["solve", str(path), "--timeout", "0.2"])
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == ["unknown",
+                                            "reason: timeout exceeded"]
+
+
+BAD_INPUTS = {
+    "zero-weight": ["solve", "problems/ex1.p", "--weights", "f=0"],
+    "negative-verify-depth": ["verify-model", "problems/ex1.p", "--model",
+                              "{tmp}/ex1.model", "--verify-depth", "-1"],
+    "directory-as-problem": ["solve", "problems"],
+    "non-utf8-problem": ["solve", "{tmp}/binary.p"],
+    "directory-as-emit-model": ["solve", "problems/ex1.p",
+                                "--emit-model", "{tmp}"],
+    "negative-timeout": ["solve", "problems/ex1.p", "--timeout", "-1"],
+    "negative-max-instantiations": ["solve", "problems/ex1.p",
+                                    "--max-instantiations", "-1"],
+    "negative-max-clauses": ["solve", "problems/ex1.p",
+                             "--max-clauses", "-1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_1_without_traceback(case, tmp_path):
+    (tmp_path / "ex1.model").write_text("g(a, b)\n")
+    (tmp_path / "binary.p").write_bytes(b"\xff\xfe")
+    args = [arg.format(tmp=tmp_path) for arg in BAD_INPUTS[case]]
+    proc = run_cli(args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(("usage error:", "error:"))
