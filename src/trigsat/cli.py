@@ -11,6 +11,7 @@ stdout stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import Optional
@@ -182,22 +183,22 @@ def _read_problem(path: str):
 def _cmd_solve(args: argparse.Namespace) -> int:
     problem = _read_problem(args.file)
     options = _options_from(args)
-    result = solve_problem(problem, options)
-    for warning in result.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if result.run is not None and options.trace:
-        for line in result.run.trace:
-            print(line, file=sys.stderr)
-    print(result.verdict_line)
-    if result.verdict_line == "unknown" and result.run is not None:
-        print(f"reason: {result.run.verdict.reason}")
-    if result.verdict_line == "sat" and args.emit_model is not None:
-        lines = model_lines(result.model)
-        if args.emit_model == "-":
-            sys.stdout.writelines(lines)
-        else:
-            with open(args.emit_model, "w", encoding="utf-8") as out:
-                out.writelines(lines)
+    # The model file is opened before the run, so that an unwritable path
+    # fails at once; it stays empty unless the verdict is sat.
+    emit = args.emit_model
+    with (open(emit, "w", encoding="utf-8") if emit not in (None, "-")
+          else contextlib.nullcontext(emit and sys.stdout)) as model_out:
+        result = solve_problem(problem, options)
+        for warning in result.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        if result.run is not None and options.trace:
+            for line in result.run.trace:
+                print(line, file=sys.stderr)
+        print(result.verdict_line)
+        if result.verdict_line == "unknown" and result.run is not None:
+            print(f"reason: {result.run.verdict.reason}")
+        if result.verdict_line == "sat" and model_out is not None:
+            model_out.writelines(model_lines(result.model))
     return 0
 
 

@@ -29,7 +29,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Optional
+from weakref import WeakKeyDictionary
 
 from .terms import (
     Atom,
@@ -55,16 +57,23 @@ class OrderingSpec:
     precedence: tuple[str, ...] = ()  # greatest symbol first
     weights: Mapping[str, int] = field(default_factory=dict)
     precedence_dominant: bool = False
+    # atom -> (atom_weight, var_counts) under this spec, for `_kbo_atoms`;
+    # weak, so that a spec shared by many runs keeps no dead atom alive.
+    _atoms: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+                                      init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("weight", "subterm"):
             raise ValueError(f"unknown ordering kind: {self.kind!r}")
-        for name, w in dict(self.weights).items():
+        # A frozen copy, so that neither the check nor `_atoms` goes stale.
+        weights = MappingProxyType(dict(self.weights))
+        for name, w in weights.items():
             if w < 1:
                 raise ValueError(f"weight for {name!r} must be >= 1")
+        object.__setattr__(self, "weights", weights)
 
     def symbol_weight(self, name: str) -> int:
-        return dict(self.weights).get(name, 1)
+        return self.weights.get(name, 1)
 
     def prec_key(self, name: str) -> tuple:
         # Listed symbols outrank unlisted ones; unlisted compare by name.
@@ -131,11 +140,18 @@ def _kbo(o: OrderingSpec, s: Term, t: Term, can_gt: bool = True,
     return Comparison.EQ
 
 
+def _weight_and_vars(o: OrderingSpec, a: Atom) -> tuple[int, Counter]:
+    entry = o._atoms.get(a)
+    if entry is None:
+        entry = o._atoms[a] = (atom_weight(o, a), var_counts(a))
+    return entry
+
+
 def _kbo_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
-    vs, vt = var_counts(a), var_counts(b)
+    wa, vs = _weight_and_vars(o, a)
+    wb, vt = _weight_and_vars(o, b)
     can_gt = _covers(vs, vt)
     can_lt = _covers(vt, vs)
-    wa, wb = atom_weight(o, a), atom_weight(o, b)
     if wa > wb:
         return Comparison.GT if can_gt else Comparison.INCOMPARABLE
     if wa < wb:

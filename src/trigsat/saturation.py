@@ -76,24 +76,39 @@ def is_tautology(c: Clause) -> bool:
 
 def subsumes(c: Clause, d: Clause) -> bool:
     """True iff some substitution maps c onto a sub-multiset of d."""
-    if len(c) > len(d):
+    (c_size, c_counts), (d_size, d_counts) = c.features, d.features
+    if c_size > d_size or any(d_counts.get(k, 0) < n
+                              for k, n in c_counts.items()):
         return False
+    lits, targets = c.literals, d.literals
+    if not lits:
+        return True
+    used = [False] * len(targets)
 
-    def assign(idx: int, used: frozenset[int], bindings) -> bool:
-        if idx == len(c.literals):
+    def candidates(lit, bindings):
+        for j, target in enumerate(targets):
+            if not used[j]:
+                nxt = match_literal(lit, target, bindings)
+                if nxt is not None:
+                    yield j, nxt
+
+    # Depth-first over c's literals, each against d's unused ones in order:
+    # frame i yields literal i's matches, chosen[i] the last one's target.
+    frames = [candidates(lits[0], {})]
+    chosen: list[int] = []
+    while frames:
+        if len(chosen) == len(frames):
+            used[chosen.pop()] = False
+        j, nxt = next(frames[-1], (None, None))
+        if j is None:
+            frames.pop()
+        elif len(frames) == len(lits):
             return True
-        lit = c.literals[idx]
-        for j, target in enumerate(d.literals):
-            if j in used:
-                continue
-            nxt = match_literal(lit, target, bindings)
-            if nxt is None:
-                continue
-            if assign(idx + 1, used | {j}, nxt):
-                return True
-        return False
-
-    return assign(0, frozenset(), {})
+        else:
+            used[j] = True
+            chosen.append(j)
+            frames.append(candidates(lits[len(frames)], nxt))
+    return False
 
 
 def variant(c: Clause, d: Clause) -> bool:
@@ -289,7 +304,7 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
             if is_tautology(concl):
                 counts["tautologies"] += 1
                 continue
-            if any(subsumes(a, concl) for a in active + passive):
+            if any(subsumes(a, concl) for a in chain(active, passive)):
                 counts["forward_subsumed"] += 1
                 continue
             if not concl.is_ground:

@@ -290,6 +290,17 @@ class Clause:
     origin: str = "input-ground"
     cid: int = field(default_factory=lambda: next(_clause_ids))
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
+    _features: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    @property
+    def features(self) -> tuple[int, Counter]:
+        # (symbol count, literals per (sign, predicate)): no substitution
+        # lowers either, so C subsumes D only if D's dominates (Schulz 2013).
+        if self._features is None:
+            object.__setattr__(self, "_features", (
+                sum(symbol_count(l.atom) for l in self.literals),
+                Counter((l.positive, l.atom.pred) for l in self.literals)))
+        return self._features
 
     @property
     def key(self) -> tuple:

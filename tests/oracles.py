@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from trigsat.models import ProductionRecord, int_of
 from trigsat.ordering import Comparison, compare_clauses, compare_literals
-from trigsat.terms import App, Atom, Clause, Term, Var
+from trigsat.terms import App, Atom, Clause, Term, Var, match_literal
 
 
 def truth_table_sat(clauses: list[Clause]) -> Optional[dict[Atom, bool]]:
@@ -259,3 +259,78 @@ def ref_produce_model(fs, o):
         else:
             records.append(ProductionRecord(c, False))
     return int_of(produced, universe), records
+
+
+# -- reference subsumption and weight ordering --------------------------
+#
+# Subsumption as first written: an exhaustive search over injections of
+# c's literals into d's, with no pre-filter; and the weight ordering (KBO)
+# by direct recursion from a plain weights dict, with nothing cached.
+# Both are usable on small inputs only.
+
+def ref_subsumes(c: Clause, d: Clause) -> bool:
+    """Reference for `trigsat.saturation.subsumes`."""
+    if len(c) > len(d):
+        return False
+
+    def assign(idx, used, bindings):
+        if idx == len(c.literals):
+            return True
+        for j, target in enumerate(d.literals):
+            if j in used:
+                continue
+            nxt = match_literal(c.literals[idx], target, bindings)
+            if nxt is not None and assign(idx + 1, used | {j}, nxt):
+                return True
+        return False
+
+    return assign(0, frozenset(), {})
+
+
+def _ref_weight(weights: dict, t: Term) -> int:
+    if isinstance(t, Var):
+        return 1
+    return weights.get(t.fn, 1) + sum(_ref_weight(weights, a) for a in t.args)
+
+
+def _ref_var_counts(t: Term, out: dict) -> dict:
+    if isinstance(t, Var):
+        out[t.name] = out.get(t.name, 0) + 1
+    else:
+        for a in t.args:
+            _ref_var_counts(a, out)
+    return out
+
+
+def _ref_kbo(o, weights: dict, s: Term, t: Term, can_gt: bool,
+             can_lt: bool) -> Comparison:
+    if ref_term_key(s) == ref_term_key(t):
+        return Comparison.EQ
+    vs, vt = _ref_var_counts(s, {}), _ref_var_counts(t, {})
+    can_gt = can_gt and all(vs.get(v, 0) >= n for v, n in vt.items())
+    can_lt = can_lt and all(vt.get(v, 0) >= n for v, n in vs.items())
+    ws, wt = _ref_weight(weights, s), _ref_weight(weights, t)
+    if ws != wt:
+        c = Comparison.GT if ws > wt else Comparison.LT
+    elif isinstance(s, Var) or isinstance(t, Var):
+        return Comparison.INCOMPARABLE
+    elif s.fn != t.fn:
+        c = o.compare_symbols(s.fn, t.fn)
+    else:
+        for sa, ta in zip(s.args, t.args):
+            if ref_term_key(sa) != ref_term_key(ta):
+                return _ref_kbo(o, weights, sa, ta, can_gt, can_lt)
+        raise AssertionError("unreachable: the keys differ")
+    if c is Comparison.GT:
+        return Comparison.GT if can_gt else Comparison.INCOMPARABLE
+    return Comparison.LT if can_lt else Comparison.INCOMPARABLE
+
+
+def ref_compare_atoms(o, weights: dict, a: Atom, b: Atom) -> Comparison:
+    """Reference for `compare_atoms` under a weight ordering `o` whose
+    symbol weights are `weights`: an atom weighs like a term headed by its
+    predicate."""
+    if o.precedence_dominant and a.pred != b.pred:
+        return o.compare_symbols(a.pred, b.pred)
+    return _ref_kbo(o, weights, App(a.pred, a.args), App(b.pred, b.args),
+                    True, True)

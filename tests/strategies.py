@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+from trigsat.ordering import OrderingSpec
 from trigsat.terms import App, Atom, Clause, Literal, Substitution, Var
 
 FUNCTIONS = {"f": 2, "g": 1, "a": 0, "b": 0}
@@ -68,3 +69,17 @@ def ground_substitutions(variables: tuple[str, ...] = VARIABLES,
         lambda ts: Substitution(dict(zip((Var(v) for v in variables), ts))),
         st.lists(ground_terms_st(max_depth), min_size=len(variables),
                  max_size=len(variables)))
+
+
+SYMBOLS = ("f", "g", "a", "b", "p", "q", "r")
+
+
+@st.composite
+def weight_orderings(draw):
+    """A weight ordering with random weights, precedence and dominance."""
+    weights = draw(st.dictionaries(st.sampled_from(SYMBOLS),
+                                   st.integers(1, 4), max_size=4))
+    precedence = draw(st.permutations(SYMBOLS))[:draw(st.integers(0, 7))]
+    return OrderingSpec(kind="weight", weights=weights,
+                        precedence=tuple(precedence),
+                        precedence_dominant=draw(st.booleans()))

@@ -225,6 +225,44 @@ class TestDeepChains:
             assert lines[1] == "reason: timeout exceeded"
 
 
+class TestLongClauses:
+    def test_two_copies_of_a_1201_literal_clause(self, tmp_path):
+        # Backward subsumption matches one copy onto the other, literal by
+        # literal.
+        text = " | ".join(f"~p{i}(X)" for i in range(1200)) + " | *q(X)\n"
+        path = tmp_path / "long.p"
+        path.write_text(text + text)
+        proc = run_cli(["solve", str(path)])
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines()[0] == "sat"
+
+
+class TestEmitModelFile:
+    def test_unwritable_model_path_fails_before_the_run(self, tmp_path):
+        proc = run_cli(["solve", "problems/ex1.p", "--emit-model",
+                        str(tmp_path / "no_such_dir" / "m.lits")])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("args, verdict", [
+        (["problems/countersel.p", "--precedence", "r>q>p",
+          "--precedence-dominant", "--extend-select", "auto"], "unsat"),
+        (["problems/allneg_divergent.p", "--max-instantiations", "30"],
+         "unknown"),
+    ])
+    def test_model_file_is_empty_after_a_non_sat_verdict(self, tmp_path,
+                                                         args, verdict):
+        model = tmp_path / "m.lits"
+        model.write_text("stale\n")
+        proc = run_cli(["solve", *args, "--emit-model", str(model)])
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == verdict
+        assert model.read_text() == ""
+
+
 class TestDeterminism:
     def test_traces_are_byte_identical_across_processes(self):
         args = ["solve", "problems/goodsel_trig1.p", "--trace"]

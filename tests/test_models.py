@@ -31,7 +31,12 @@ from trigsat.terms import (
 )
 
 from oracles import ref_produce_model
-from strategies import ground_literals, ground_substitutions, clauses
+from strategies import (
+    clauses,
+    ground_literals,
+    ground_substitutions,
+    weight_orderings,
+)
 
 a, b, c, d = const("a"), const("b"), const("c"), const("d")
 X = Var("X")
@@ -177,19 +182,6 @@ class TestProduceModel:
         for r in records:
             if r.produced:
                 assert model.value(Literal(r.atom)) is True
-
-
-SYMBOLS = ("f", "g", "a", "b", "p", "q", "r")
-
-
-@st.composite
-def weight_orderings(draw):
-    weights = draw(st.dictionaries(st.sampled_from(SYMBOLS),
-                                   st.integers(1, 4), max_size=4))
-    precedence = draw(st.permutations(SYMBOLS))[:draw(st.integers(0, 7))]
-    return OrderingSpec(kind="weight", weights=weights,
-                        precedence=tuple(precedence),
-                        precedence_dominant=draw(st.booleans()))
 
 
 @st.composite

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from trigsat.ordering import (
     Comparison,
@@ -17,7 +18,13 @@ from trigsat.ordering import (
 )
 from trigsat.terms import App, Atom, Clause, Literal, Var, clause, const, fn
 
-from strategies import atoms, ground_atoms, ground_substitutions
+from oracles import ref_compare_atoms
+from strategies import (
+    atoms,
+    ground_atoms,
+    ground_substitutions,
+    weight_orderings,
+)
 
 X, Y = Var("X"), Var("Y")
 a, b, c = const("a"), const("b"), const("c")
@@ -234,3 +241,59 @@ class TestFinitenessBounds:
                 below = [at for at in pool
                          if compare_atoms(order, at, top) is Comparison.LT]
                 assert len(below) <= n * n
+
+
+class TestCachedWeightOrdering:
+    """`compare_atoms` reads atom weights and variable counts from a cache
+    kept per `OrderingSpec`; it must agree with the uncached reference."""
+
+    @given(weight_orderings(), st.lists(atoms(max_depth=2), min_size=2,
+                                        max_size=6))
+    def test_matches_uncached_reference(self, o, pool):
+        for _ in range(2):  # the second round reads the filled cache
+            for a1, a2 in itertools.product(pool, repeat=2):
+                assert (compare_atoms(o, a1, a2)
+                        is ref_compare_atoms(o, dict(o.weights), a1, a2))
+
+    @given(weight_orderings(), weight_orderings(),
+           st.lists(atoms(max_depth=2), min_size=2, max_size=6))
+    def test_two_specs_over_the_same_atoms(self, first, second, pool):
+        # Interleaved, so a cache shared between specs would show.
+        for a1, a2 in itertools.product(pool, repeat=2):
+            for o in (first, second):
+                assert (compare_atoms(o, a1, a2)
+                        is ref_compare_atoms(o, dict(o.weights), a1, a2))
+
+    def test_equal_atoms_different_weights(self):
+        light = OrderingSpec(kind="weight", precedence=("g", "f"))
+        heavy = OrderingSpec(kind="weight", precedence=("g", "f"),
+                             weights={"f": 3})
+        fa, gga = Atom("p", (fn("f", a),)), Atom("p", (fn("g", fn("g", a)),))
+        for _ in range(2):
+            assert compare_atoms(light, fa, gga) is Comparison.LT
+            assert compare_atoms(heavy, fa, gga) is Comparison.GT
+
+
+class TestWeightsAreCopied:
+    def test_caller_dict_mutation_does_not_reach_the_spec(self):
+        d = {"f": 2}
+        o = OrderingSpec(weights=d)
+        d["f"] = 0
+        d["g"] = 5
+        assert o.symbol_weight("f") == 2
+        assert o.symbol_weight("g") == 1
+        assert dict(o.weights) == {"f": 2}
+
+    def test_weights_cannot_be_changed_through_the_spec(self):
+        o = OrderingSpec(weights={"f": 2})
+        with pytest.raises(TypeError):
+            o.weights["f"] = 0
+
+    def test_zero_weight_still_refused(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            OrderingSpec(weights={"f": 0})
+
+    def test_specs_with_equal_weights_are_equal(self):
+        assert (OrderingSpec(weights={"f": 2}, precedence=("f",))
+                == OrderingSpec(weights={"f": 2}, precedence=("f",)))
+        assert OrderingSpec(weights={"f": 2}) != OrderingSpec()

@@ -1,7 +1,11 @@
 """Resolution/Factoring inferences, subsumption, and the saturation loop."""
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
@@ -21,6 +25,7 @@ from trigsat.terms import (
     Clause,
     Literal,
     Signature,
+    Substitution,
     Var,
     clause,
     const,
@@ -28,8 +33,8 @@ from trigsat.terms import (
     fn,
 )
 
-from oracles import evaluate_clause
-from strategies import clauses, ground_substitutions
+from oracles import evaluate_clause, ref_subsumes
+from strategies import clauses, ground_substitutions, literals, terms
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 a, b = const("a"), const("b")
@@ -125,6 +130,50 @@ class TestFactor:
             factor(c, 0)
 
 
+MUTATIONS = ("superset", "flip", "rename", "duplicate-in-c",
+             "duplicate-in-d", "twin", "drop")
+
+
+@st.composite
+def subsumption_pairs(draw):
+    """(c, d) with d an instance of c under a substitution that may leave
+    variables, then changed by a few of `MUTATIONS` and shuffled."""
+    c = draw(clauses(max_size=3))
+    theta = Substitution(dict(zip(
+        (Var(v) for v in ("X", "Y", "Z")),
+        draw(st.lists(terms(max_depth=2), min_size=3, max_size=3)))))
+    c_lits, d_lits = list(c.literals), list(theta(c).literals)
+    for mutation in draw(st.lists(st.sampled_from(MUTATIONS), max_size=3)):
+        i = draw(st.integers(0, len(d_lits) - 1)) if d_lits else None
+        if mutation == "superset":
+            d_lits += draw(st.lists(literals(), min_size=1, max_size=2))
+        elif mutation == "duplicate-in-c":
+            c_lits.append(draw(st.sampled_from(c_lits)))
+        elif mutation == "twin":
+            # A second copy in c, and in d a literal of the same sign and
+            # predicate: the counts pass, so only the search can refuse.
+            twin = draw(st.sampled_from(c_lits))
+            c_lits.append(twin)
+            d_lits.append(Literal(Atom(twin.atom.pred, tuple(draw(st.lists(
+                terms(max_depth=1), min_size=twin.atom.arity,
+                max_size=twin.atom.arity)))), twin.positive))
+        elif i is None:
+            continue
+        elif mutation == "flip":
+            d_lits[i] = d_lits[i].complement()
+        elif mutation == "rename":
+            atom = d_lits[i].atom
+            d_lits[i] = Literal(Atom(atom.pred + "2", atom.args),
+                                d_lits[i].positive)
+        elif mutation == "duplicate-in-d":
+            d_lits.append(d_lits[i])
+        else:
+            del d_lits[i]
+    return (Clause(tuple(c_lits), origin="input-nonground"),
+            Clause(tuple(draw(st.permutations(d_lits))),
+                   origin="input-nonground"))
+
+
 class TestSubsumes:
     def test_unit_subsumes_superset(self):
         assert subsumes(clause([lit(Atom("p", (X,)))]),
@@ -155,6 +204,44 @@ class TestSubsumes:
     @given(clauses(max_size=3), ground_substitutions())
     def test_subsumes_own_instances(self, c, theta):
         assert subsumes(c, theta(c))
+
+    @given(subsumption_pairs())
+    def test_matches_unfiltered_reference(self, pair):
+        c, d = pair
+        assert subsumes(c, d) is ref_subsumes(c, d)
+        assert subsumes(d, c) is ref_subsumes(d, c)
+        assert variant(c, d) is (len(c) == len(d) and ref_subsumes(c, d)
+                                 and ref_subsumes(d, c))
+
+    def test_one_target_per_literal(self):
+        # The counts per (sign, predicate) agree, but both q(a) need d's one
+        # q(a).
+        twice = clause([lit(Atom("q", (a,))), lit(Atom("q", (a,)))])
+        assert not subsumes(twice, clause([lit(Atom("q", (a,))),
+                                           lit(Atom("q", (b,)))]))
+
+    def test_backtracking_frees_the_abandoned_target(self):
+        # q(X) first takes q(a), r(a) is missing; q(X) then takes q(b), and
+        # q(a) must be free again for the third literal.
+        c = clause([lit(Atom("q", (X,))), lit(Atom("r", (X,))),
+                    lit(Atom("q", (a,)))])
+        d = clause([lit(Atom("q", (a,))), lit(Atom("q", (b,))),
+                    lit(Atom("r", (b,)))])
+        assert subsumes(c, d)
+
+    def test_long_clauses_do_not_recurse(self):
+        # 1200 literals are past Python's recursion limit, so the search
+        # must not take one Python call per literal of c.
+        def long_clause(n):
+            return clause([lit(Atom(f"p{i}", (X,)), False) for i in range(n)]
+                          + [lit(Atom("q", (X,)))])
+
+        c, d = long_clause(1200), long_clause(1200)
+        assert subsumes(c, d) and variant(c, d)
+        assert subsumes(long_clause(600), d)
+        assert not subsumes(d, long_clause(600))
+        shifted = clause(list(d.literals[1:]) + [lit(Atom("p0", (a,)), False)])
+        assert not subsumes(c, shifted)
 
 
 class TestTautology:
@@ -332,3 +419,29 @@ class TestPinnedCorpusCounts:
             options = SolveOptions(ordering=corpus_ordering(name))
             report = check_problem_saturated(load_corpus(name), options)
             assert report.counts == {"inferences": inferences}, name
+
+    # The kept clauses, in order, and the counts of both saturations above,
+    # recorded before subsumption and the atom comparison were sped up: a
+    # change in any subsumption answer or in the given-clause order shows
+    # up as a changed clause list.
+    PINNED = json.loads((Path(__file__).resolve().parent / "golden"
+                         / "saturation_order.json").read_text())
+
+    @pytest.mark.parametrize("name, corpus, cap", [
+        ("settheory", "settheory", None),
+        ("subsumption-cap-100", "subsumption", 100),
+    ])
+    def test_saturation_keeps_pinned_clauses_in_order(self, name, corpus,
+                                                      cap):
+        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.pipeline import SolveOptions, solve_problem
+        from trigsat.saturation import InferenceBudget
+
+        budget = ({} if cap is None else
+                  {"allow_unsaturated": True,
+                   "saturation_budget": InferenceBudget(max_clauses=cap)})
+        options = SolveOptions(select="maximal",
+                               ordering=corpus_ordering(corpus), **budget)
+        report = solve_problem(load_corpus(corpus), options).saturation
+        assert [str(c) for c in report.clauses] == self.PINNED[name]["clauses"]
+        assert report.counts == self.PINNED[name]["counts"]
