@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
-from .ordering import Comparison, OrderingSpec, compare_atoms
+from .ordering import (
+    Comparison,
+    OrderingSpec,
+    atom_order_key,
+    compare_atoms,
+    total_on_ground,
+)
 from .terms import (
     Atom,
     Clause,
@@ -107,7 +113,14 @@ class Trail:
 
 def sort_clause(trail: Trail, c: Clause, o: OrderingSpec) -> tuple[Literal, ...]:
     """Permutation of c in descending recency (undefined literals first),
-    tie-broken by the atom ordering, then structure, then position."""
+    tie-broken by the atom ordering, then structure, then position.  The
+    clauses of G are ground, so a total order sorts them by key."""
+    if total_on_ground(o):
+        # A stable sort, reversed or not, keeps equal items in position
+        # order, and equal keys mean the same atom.
+        return tuple(sorted(
+            c.literals, reverse=True,
+            key=lambda l: (trail.count(l), atom_order_key(o, l.atom))))
 
     def cmp(a: tuple[int, Literal], b: tuple[int, Literal]) -> int:
         ca, cb = trail.count(a[1]), trail.count(b[1])
@@ -331,11 +344,15 @@ class Solver:
         unassigned = [a for a in self._atoms if not self.trail.defines(a)]
         if not unassigned:
             return False
-        unassigned.sort(key=atom_key)
-        best = unassigned[0]
-        for a in unassigned[1:]:
-            if compare_atoms(self.ordering, a, best) is Comparison.LT:
-                best = a
+        o = self.ordering
+        if total_on_ground(o):
+            best = min(unassigned, key=lambda a: atom_order_key(o, a))
+        else:
+            unassigned.sort(key=atom_key)
+            best = unassigned[0]
+            for a in unassigned[1:]:
+                if compare_atoms(o, a, best) is Comparison.LT:
+                    best = a
         level = self.trail.level + 1
         self.trail.push(Literal(best, False), level, None)
         self.stats.decides += 1

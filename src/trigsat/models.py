@@ -20,7 +20,14 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
-from .ordering import Comparison, OrderingSpec, compare_clauses, compare_literals
+from .ordering import (
+    Comparison,
+    OrderingSpec,
+    clause_order_key,
+    compare_clauses,
+    compare_literals,
+    total_on_ground,
+)
 from .terms import (
     Atom,
     Clause,
@@ -159,6 +166,10 @@ class ProductionRecord:
 def _total_clause_sort(entries: list[tuple[Clause, frozenset[int]]],
                        o: OrderingSpec) -> list[tuple[Clause, frozenset[int]]]:
     """Ascending multiset sort; raises when two clauses do not compare."""
+    if total_on_ground(o):
+        return sorted(entries, key=lambda e: (clause_order_key(o, e[0]),
+                                              e[0].cid))
+
     def cmp(x: tuple[Clause, frozenset[int]],
             y: tuple[Clause, frozenset[int]]) -> int:
         c = compare_clauses(o, x[0], y[0])

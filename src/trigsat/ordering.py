@@ -22,6 +22,11 @@ termination claims are only made when they apply.
 Comparisons are stable under substitution: s < t implies sθ < tθ.
 INCOMPARABLE is an explicit verdict, and maximality below uses "no
 strictly greater clause-mate" so partial orders need no totalization.
+
+Where an ordering is total on ground atoms (`total_on_ground`: the weight
+order), ground atoms, literals and clauses also have sort keys that
+compare as the comparisons here do, so that a minimum or a sort over
+them costs one key each instead of pairwise comparisons.
 """
 
 from __future__ import annotations
@@ -34,11 +39,14 @@ from typing import Mapping, Optional
 from weakref import WeakKeyDictionary
 
 from .terms import (
+    _DEEP,
     Atom,
     Clause,
     Literal,
     Term,
     Var,
+    _key_order,
+    _LoopOrder,
     is_subterm,
     var_counts,
 )
@@ -61,6 +69,10 @@ class OrderingSpec:
     # weak, so that a spec shared by many runs keeps no dead atom alive.
     _atoms: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
                                       init=False, repr=False, compare=False)
+    # term or ground atom -> its key under this spec (see `_term_entry` and
+    # `atom_order_key`), weak like `_atoms`.
+    _keys: WeakKeyDictionary = field(default_factory=WeakKeyDictionary,
+                                     init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("weight", "subterm"):
@@ -88,19 +100,57 @@ class OrderingSpec:
         return Comparison.GT if ka > kb else Comparison.LT
 
 
+class _DeepWeightKey(_LoopOrder, tuple):
+    """The key of a term of depth >= _DEEP: the same (weight, precedence
+    key, argument keys) tuple, compared by a loop instead of C recursion."""
+
+    __slots__ = ()
+    __hash__ = None  # hashing would recurse in C
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, tuple) and _key_order(self, other) == 0
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+
+_VAR_ENTRY = (1,)  # a variable weighs 1; it has no place in the order
+
+
+def _term_entry(o: OrderingSpec, t: Term) -> tuple:
+    """t's key under o, (weight, precedence key of the head symbol,
+    argument keys), built once per term from its arguments' keys.  On
+    ground terms these keys order as the weight order does; on other
+    terms only the weight, the first field, is meaningful."""
+    keys = o._keys
+    entry = keys.get(t)
+    if entry is not None:
+        return entry
+    stack = [t]
+    while stack:
+        u = stack[-1]
+        if u in keys:
+            stack.pop()
+        elif isinstance(u, Var):
+            keys[u] = _VAR_ENTRY
+            stack.pop()
+        else:
+            todo = [a for a in u.args if a not in keys]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            args = tuple(keys[a] for a in u.args)
+            entry = (o.symbol_weight(u.fn) + sum(a[0] for a in args),
+                     o.prec_key(u.fn), args)
+            keys[u] = entry if u.depth < _DEEP else _DeepWeightKey(entry)
+    return keys[t]
+
+
 def term_weight(o: OrderingSpec, t: Term) -> int:
     if not o.weights:
         return t.size  # every symbol weighs 1
-    total = 0
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            total += 1
-        else:
-            total += o.symbol_weight(t.fn)
-            stack.extend(t.args)
-    return total
+    return _term_entry(o, t)[0]
 
 
 def atom_weight(o: OrderingSpec, a: Atom) -> int:
@@ -214,6 +264,43 @@ def compare_literals(o: OrderingSpec, l1: Literal, l2: Literal) -> Comparison:
     return Comparison.LT if l1.positive else Comparison.GT
 
 
+def total_on_ground(o: OrderingSpec) -> bool:
+    """Whether o is total on ground atoms, so that the `*_order_key`
+    functions stand in for its comparisons there.  The weight order is;
+    the subterm order is partial and has no keys."""
+    return o.kind == "weight"
+
+
+def atom_order_key(o: OrderingSpec, a: Atom) -> tuple:
+    """The key of ground atom a under the weight order o: keys of two
+    ground atoms compare as `compare_atoms` does, and are equal only for
+    the same atom.  Cached per spec."""
+    key = o._keys.get(a)
+    if key is None:
+        if not a.ground:
+            raise ValueError(f"order keys are for ground atoms only: {a}")
+        args = tuple(_term_entry(o, t) for t in a.args)
+        weight = o.symbol_weight(a.pred) + sum(k[0] for k in args)
+        head = o.prec_key(a.pred)
+        key = o._keys[a] = ((head, weight, args) if o.precedence_dominant
+                            else (weight, head, args))
+    return key
+
+
+def literal_order_key(o: OrderingSpec, lit: Literal) -> tuple:
+    """As `atom_order_key`, with the negative literal greater on equal
+    atoms (as in `compare_literals`)."""
+    return (atom_order_key(o, lit.atom), not lit.positive)
+
+
+def clause_order_key(o: OrderingSpec, c: Clause) -> tuple:
+    """The literal keys of ground clause c in descending order.  For a
+    total order the multiset extension is lexicographic on this sequence,
+    so these keys compare as `compare_clauses` does."""
+    return tuple(sorted((literal_order_key(o, l) for l in c.literals),
+                        reverse=True))
+
+
 def maximal_literals(o: OrderingSpec, c: Clause) -> list[Literal]:
     """Distinct literal values with no strictly greater clause-mate."""
     if c.is_empty:
@@ -233,7 +320,7 @@ def maximum_literal(o: OrderingSpec, c: Clause) -> Optional[Literal]:
     """The unique literal strictly greater than all others, if it exists."""
     if c.is_empty:
         raise ValueError("empty clause has no maximum literal")
-    counts: Counter = Counter(c.literals)
+    counts = c.counts
     for lit in counts:
         if counts[lit] > 1:
             continue
@@ -245,7 +332,12 @@ def maximum_literal(o: OrderingSpec, c: Clause) -> Optional[Literal]:
 
 def compare_clauses(o: OrderingSpec, c1: Clause, c2: Clause) -> Comparison:
     """Multiset extension of the literal ordering; INCOMPARABLE propagates."""
-    m1, m2 = Counter(c1.literals), Counter(c2.literals)
+    if total_on_ground(o) and c1.is_ground and c2.is_ground:
+        k1, k2 = clause_order_key(o, c1), clause_order_key(o, c2)
+        if k1 == k2:
+            return Comparison.EQ
+        return Comparison.GT if k1 > k2 else Comparison.LT
+    m1, m2 = c1.counts, c2.counts
     only1 = list((m1 - m2).elements())
     only2 = list((m2 - m1).elements())
     if not only1 and not only2:

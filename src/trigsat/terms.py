@@ -122,23 +122,11 @@ class App(_Node):
 Term = Union[Var, App]
 
 
-class _DeepKey:
-    """`term_key` of a term of depth >= _DEEP: it orders like the nested
-    tuple (1, fn, argument keys) it stands for, compared by a loop, and
-    equals only the key of the same term."""
+class _LoopOrder:
+    """Base of the keys that stand for nested tuples too deep to compare in
+    C: they order by `_key_order`, a loop."""
 
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: str, args: tuple[Term, ...]) -> None:
-        self.fn = fn
-        self.args = args
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.args))
-
-    def __eq__(self, other: object) -> bool:
-        return (type(other) is _DeepKey and self.fn == other.fn
-                and self.args == other.args)
+    __slots__ = ()
 
     def __lt__(self, other) -> bool:
         return _key_order(self, other) < 0
@@ -153,21 +141,42 @@ class _DeepKey:
         return _key_order(self, other) >= 0
 
 
+class _DeepKey(_LoopOrder):
+    """`term_key` of a term of depth >= _DEEP: it orders like the nested
+    tuple (1, fn, argument keys) it stands for, and equals only the key of
+    the same term."""
+
+    __slots__ = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple[Term, ...]) -> None:
+        self.fn = fn
+        self.args = args
+
+    def __hash__(self) -> int:
+        return hash((self.fn, self.args))
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is _DeepKey and self.fn == other.fn
+                and self.args == other.args)
+
+
 def _key_parts(k) -> tuple[tuple, tuple]:
-    """(tag, name) and the argument keys of a term key."""
+    """The head (first two fields) and the argument keys of a key laid out
+    like (tag, name, argument keys); a tag of 0 marks a leaf."""
     if type(k) is _DeepKey:
         return (1, k.fn), tuple(term_key(a) for a in k.args)
     return k[:2], (k[2] if k[0] else ())
 
 
 def _key_order(x, y) -> int:
-    """-1, 0 or 1 as term key x sorts before, with or after y."""
+    """-1, 0 or 1 as key x sorts before, with or after y, where x and y are
+    term keys or both keys of the kind `_key_parts` reads."""
     todo = [(x, y)]
     while todo:
         x, y = todo.pop()
         if x is y:
             continue
-        if type(x) is not _DeepKey and type(y) is not _DeepKey:
+        if not isinstance(x, _LoopOrder) and not isinstance(y, _LoopOrder):
             # Two shallow keys, or two argument counts.
             if x == y:
                 continue
@@ -240,7 +249,7 @@ class Atom(_Node):
 
 
 class Literal(_Node):
-    __slots__ = ("atom", "positive")
+    __slots__ = ("atom", "positive", "_complement")
 
     def __new__(cls, atom: Atom, positive: bool = True) -> "Literal":
         table, node = _find(_literals, positive, atom)
@@ -248,11 +257,18 @@ class Literal(_Node):
             node = object.__new__(cls)
             node.atom = atom
             node.positive = positive
+            node._complement = None
             table.add(atom, node)
         return node
 
     def complement(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
+        # Interned once, then linked both ways: a pair that refers to each
+        # other only is a cycle the garbage collector frees.
+        other = self._complement
+        if other is None:
+            other = self._complement = Literal(self.atom, not self.positive)
+            other._complement = self
+        return other
 
     def __str__(self) -> str:
         return str(self.atom) if self.positive else f"~{self.atom}"
@@ -291,6 +307,14 @@ class Clause:
     cid: int = field(default_factory=lambda: next(_clause_ids))
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
     _features: Optional[tuple] = field(default=None, init=False, repr=False)
+    _counts: Optional[Counter] = field(default=None, init=False, repr=False)
+
+    @property
+    def counts(self) -> Counter:
+        # The literal multiset, built once; callers must not mutate it.
+        if self._counts is None:
+            object.__setattr__(self, "_counts", Counter(self.literals))
+        return self._counts
 
     @property
     def features(self) -> tuple[int, Counter]:

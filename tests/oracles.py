@@ -11,6 +11,7 @@ assignment.
 from __future__ import annotations
 
 import itertools
+from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from trigsat.models import ProductionRecord, int_of
@@ -334,3 +335,74 @@ def ref_compare_atoms(o, weights: dict, a: Atom, b: Atom) -> Comparison:
         return o.compare_symbols(a.pred, b.pred)
     return _ref_kbo(o, weights, App(a.pred, a.args), App(b.pred, b.args),
                     True, True)
+
+
+def ref_compare_clauses(o, weights: dict, c1: Clause,
+                        c2: Clause) -> Comparison:
+    """Reference for `compare_clauses` under a weight ordering: the
+    multiset extension by its definition (Dershowitz-Manna) over literals
+    compared with `ref_compare_atoms`, the negative literal greater on
+    equal atoms."""
+    def greater(x, y) -> bool:
+        c = ref_compare_atoms(o, weights, x.atom, y.atom)
+        if c is Comparison.EQ:
+            return not x.positive and y.positive
+        return c is Comparison.GT
+
+    only1, only2 = list(c1.literals), list(c2.literals)
+    for lit in c1.literals:
+        if lit in only2:
+            only1.remove(lit)
+            only2.remove(lit)
+    if not only1 and not only2:
+        return Comparison.EQ
+    if all(any(greater(x, y) for x in only1) for y in only2):
+        return Comparison.GT
+    if all(any(greater(y, x) for y in only2) for x in only1):
+        return Comparison.LT
+    return Comparison.INCOMPARABLE
+
+
+# -- reference decide choice and clause sort -----------------------------
+#
+# `Solver.decide`'s choice and `sort_clause` as written before ground
+# atoms had order keys: a scan for the minimum in `atom_key` order, and a
+# sort through `cmp_to_key`.  Here they compare with `ref_compare_atoms`
+# and `ref_term_key`, so they share no ordering code with the solver.
+
+def _ref_atom_key(a: Atom) -> tuple:
+    return (a.pred, tuple(ref_term_key(t) for t in a.args))
+
+
+def ref_decide_choice(o, atoms: list[Atom]) -> Atom:
+    """The atom `Solver.decide` sets false among the unassigned `atoms`."""
+    weights = dict(o.weights)
+    unassigned = sorted(atoms, key=_ref_atom_key)
+    best = unassigned[0]
+    for a in unassigned[1:]:
+        if ref_compare_atoms(o, weights, a, best) is Comparison.LT:
+            best = a
+    return best
+
+
+def ref_sort_clause(count, c: Clause, o) -> tuple:
+    """Reference for `trigsat.cdcl.sort_clause`; `count` is the trail's
+    recency of a literal (`Trail.count`)."""
+    weights = dict(o.weights)
+
+    def cmp(x, y) -> int:
+        cx, cy = count(x[1]), count(y[1])
+        if cx != cy:
+            return -1 if cx > cy else 1
+        by_order = ref_compare_atoms(o, weights, x[1].atom, y[1].atom)
+        if by_order is Comparison.GT:
+            return -1
+        if by_order is Comparison.LT:
+            return 1
+        kx, ky = _ref_atom_key(x[1].atom), _ref_atom_key(y[1].atom)
+        if kx != ky:
+            return -1 if kx > ky else 1
+        return -1 if x[0] < y[0] else (1 if x[0] > y[0] else 0)
+
+    return tuple(lit for _, lit in sorted(enumerate(c.literals),
+                                          key=cmp_to_key(cmp)))

@@ -1,16 +1,27 @@
 """CDCL engine: rule mechanics, worked runs, and oracle agreement."""
 
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trigsat.cdcl import Budgets, Solver, Trail, sort_clause
+from trigsat.models import ProductionRecord, produce_model
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
 from trigsat.pipeline import SolveOptions, solve_problem
 from trigsat.terms import Atom, Clause, Literal, clause, const, fn
 
-from oracles import horn_sat, truth_table_sat
+from oracles import (
+    horn_sat,
+    ref_decide_choice,
+    ref_sort_clause,
+    truth_table_sat,
+)
+from strategies import ground_atoms, ground_literals, weight_orderings
 
 a, b = const("a"), const("b")
 WEIGHT = OrderingSpec(kind="weight")
@@ -410,3 +421,101 @@ class TestGroundOracleAgreement:
                 ("sat" if horn_sat(clauses_) else "unsat")
             assert s.stats.conflicts_above_level0 == 0
             assert s.stats.monitor_violations == []
+
+
+class TestComplementSlot:
+    def test_complement_identity(self):
+        pos = lit("slot_p", True, fn("f", a))
+        neg = pos.complement()
+        assert neg is Literal(pos.atom, False)
+        assert neg.atom is pos.atom and not neg.positive
+        assert neg.complement() is pos
+        assert pos.complement() is neg
+        fresh = lit("slot_q", False, b)  # the slot filled from either side
+        assert fresh.complement().complement() is fresh
+
+    def test_unreferenced_pair_is_collected(self):
+        # The two literals refer to each other, and nothing else to them.
+        atom = Atom("slot_gc", (fn("slot_f", const("slot_c")),))
+        pos = Literal(atom)
+        refs = [weakref.ref(x) for x in (atom, pos, pos.complement())]
+        del atom, pos
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
+        again = Literal(Atom("slot_gc", (fn("slot_f", const("slot_c")),)))
+        assert again.complement().complement() is again
+        assert again.complement() is Literal(again.atom, False)
+
+
+def _trail_over(assigned):
+    trail = Trail()
+    for i, atom in enumerate(assigned):
+        trail.push(Literal(atom, i % 2 == 0), i // 2, None)
+    return trail
+
+
+class TestOrderKeysAgainstReference:
+    """Under weight orderings, `decide` and `sort_clause` use order keys;
+    they must pick and permute as the pairwise-comparison code did."""
+
+    @given(weight_orderings(), st.lists(ground_atoms(max_depth=2), min_size=1,
+                                        max_size=8, unique=True), st.data())
+    def test_decide_matches_reference_scan(self, o, pool, data):
+        assigned = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                      max_size=len(pool) - 1))
+        s = Solver(ground=[Clause(tuple(Literal(x) for x in pool))],
+                   theory=[], selection={}, ordering=o)
+        s.trail = _trail_over(assigned)
+        assert s.decide(_guard_checked=True)
+        best = ref_decide_choice(o, [x for x in pool if x not in assigned])
+        assert s.trail.literals()[-1] is Literal(best, False)
+
+    @given(weight_orderings(), st.lists(ground_literals(max_depth=1),
+                                        min_size=1, max_size=5), st.data())
+    def test_sort_clause_matches_reference(self, o, pool, data):
+        # Drawn from a small pool, so that literals repeat and atoms occur
+        # in both polarities.
+        c = Clause(tuple(data.draw(st.lists(st.sampled_from(pool),
+                                            min_size=1, max_size=7))))
+        atoms = list(dict.fromkeys(l.atom for l in c.literals))
+        trail = _trail_over(data.draw(st.lists(st.sampled_from(atoms),
+                                               unique=True)))
+        assert sort_clause(trail, c, o) == ref_sort_clause(trail.count, c, o)
+
+
+def nest(depth, t):
+    for _ in range(depth):
+        t = fn("f", t)
+    return t
+
+
+class TestDeepAtomsOfEqualWeight:
+    """Depth 5000 is far past Python's recursion limit; the two atoms weigh
+    the same, so their keys differ only at the bottom."""
+
+    DEEP_A = Atom("p", (nest(5000, a),))
+    DEEP_B = Atom("p", (nest(5000, b),))
+
+    def test_decide(self):
+        s = solver_for([Clause((Literal(self.DEEP_B), Literal(self.DEEP_A)))])
+        assert s.decide(_guard_checked=True)
+        assert s.trail.literals() == [Literal(self.DEEP_A, False)]
+
+    def test_sort_clause(self):
+        nb, pa, pb = (Literal(self.DEEP_B, False), Literal(self.DEEP_A),
+                      Literal(self.DEEP_B))
+        assert sort_clause(Trail(), Clause((nb, pa, pb)), WEIGHT) == \
+            (nb, pb, pa)
+        trail = _trail_over([self.DEEP_B])
+        assert sort_clause(trail, Clause((pb, pa, nb)), WEIGHT) == \
+            (pa, pb, nb)
+
+    def test_produce_model(self):
+        pa, pb = Literal(self.DEEP_A), Literal(self.DEEP_B)
+        both = Clause((pb, pa))
+        unit = Clause((pa,))
+        model, records = produce_model(
+            [(both, frozenset({0, 1})), (unit, frozenset({0}))], WEIGHT)
+        assert records == [ProductionRecord(unit, True, self.DEEP_A),
+                           ProductionRecord(both, False)]
+        assert pa in model and pb.complement() in model

@@ -9,20 +9,27 @@ from hypothesis import strategies as st
 from trigsat.ordering import (
     Comparison,
     OrderingSpec,
+    atom_order_key,
     atom_weight,
+    clause_order_key,
     compare_atoms,
     compare_clauses,
     compare_literals,
+    literal_order_key,
     maximal_literals,
     maximum_literal,
+    term_weight,
+    total_on_ground,
 )
 from trigsat.terms import App, Atom, Clause, Literal, Var, clause, const, fn
 
-from oracles import ref_compare_atoms
+from oracles import _ref_weight, ref_compare_atoms, ref_compare_clauses
 from strategies import (
     atoms,
     ground_atoms,
+    ground_literals,
     ground_substitutions,
+    terms,
     weight_orderings,
 )
 
@@ -297,3 +304,83 @@ class TestWeightsAreCopied:
         assert (OrderingSpec(weights={"f": 2}, precedence=("f",))
                 == OrderingSpec(weights={"f": 2}, precedence=("f",)))
         assert OrderingSpec(weights={"f": 2}) != OrderingSpec()
+
+
+def _order(x, y) -> Comparison:
+    """The comparison that two sort keys stand for."""
+    if x == y:
+        return Comparison.EQ
+    return Comparison.LT if x < y else Comparison.GT
+
+
+def nest(depth, t, name="f"):
+    for _ in range(depth):
+        t = fn(name, t)
+    return t
+
+
+class TestGroundOrderKeys:
+    """Under the weight order, ground atoms, literals and clauses have keys
+    that compare as the pairwise comparisons do."""
+
+    def test_only_the_weight_order_has_keys(self):
+        assert total_on_ground(WEIGHT)
+        assert total_on_ground(COUNTERSEL)
+        assert not total_on_ground(SUBTERM)
+
+    @given(weight_orderings(), st.lists(ground_atoms(max_depth=3),
+                                        min_size=2, max_size=6))
+    def test_atom_keys_match_reference(self, o, pool):
+        weights = dict(o.weights)
+        for a1, a2 in itertools.product(pool, repeat=2):
+            assert (_order(atom_order_key(o, a1), atom_order_key(o, a2))
+                    is ref_compare_atoms(o, weights, a1, a2))
+
+    @given(weight_orderings(), st.lists(ground_literals(max_depth=2),
+                                        min_size=2, max_size=6))
+    def test_literal_keys_match_compare_literals(self, o, pool):
+        for l1, l2 in itertools.product(pool, repeat=2):
+            assert (_order(literal_order_key(o, l1), literal_order_key(o, l2))
+                    is compare_literals(o, l1, l2))
+
+    @given(weight_orderings(), st.lists(
+        st.lists(ground_literals(max_depth=1), max_size=4).map(
+            lambda lits: Clause(tuple(lits))), min_size=2, max_size=5))
+    def test_clause_keys_match_multiset_extension(self, o, pool):
+        # Literals over a small pool, so that clauses share literals and
+        # repeat them.
+        weights = dict(o.weights)
+        pool = pool + [Clause(pool[0].literals + pool[0].literals[:1])]
+        for c1, c2 in itertools.product(pool, repeat=2):
+            by_key = _order(clause_order_key(o, c1), clause_order_key(o, c2))
+            assert by_key is ref_compare_clauses(o, weights, c1, c2)
+            assert by_key is compare_clauses(o, c1, c2)
+
+    @given(weight_orderings(), terms(max_depth=3))
+    def test_term_weight_reads_the_cache(self, o, t):
+        for _ in range(2):  # the second call reads the filled cache
+            assert term_weight(o, t) == _ref_weight(dict(o.weights), t)
+
+    def test_nonground_atom_has_no_key(self):
+        with pytest.raises(ValueError, match="ground"):
+            atom_order_key(WEIGHT, Atom("p", (X,)))
+
+    @pytest.mark.parametrize("o", [
+        WEIGHT, COUNTERSEL, OrderingSpec(kind="weight", weights={"f": 3})])
+    def test_deep_atoms_of_equal_weight(self, o):
+        # Keys of depth 5000 compare by a loop, not by C recursion.
+        deep_a = Atom("p", (nest(5000, a), b))
+        deep_b = Atom("p", (nest(5000, b), b))
+        deep_c = Atom("p", (nest(4999, fn("g", a)), b))
+        ka, kb, kc = (atom_order_key(o, x) for x in (deep_a, deep_b, deep_c))
+        assert ka < kb and kb > ka and ka != kb and not ka == kb
+        assert ka == atom_order_key(o, Atom("p", (nest(5000, a), b)))
+        assert compare_atoms(o, deep_a, deep_b) is Comparison.LT
+        for x, kx in ((deep_a, ka), (deep_b, kb), (deep_c, kc)):
+            for y, ky in ((deep_a, ka), (deep_b, kb), (deep_c, kc)):
+                assert _order(kx, ky) is compare_atoms(o, x, y)
+        c1 = Clause((Literal(deep_b, False), Literal(deep_a)))
+        c2 = Clause((Literal(deep_a), Literal(deep_b)))
+        assert compare_clauses(o, c1, c2) is Comparison.GT
+        assert compare_clauses(o, c2, c1) is Comparison.LT
+        assert term_weight(o, nest(5000, a)) == 5000 * o.symbol_weight("f") + 1
