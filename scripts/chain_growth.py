@@ -7,11 +7,9 @@ quadratic envelope the Horn/2SAT complexity argument promises).  The
 seconds column is the wall time to parse and solve one chain.
 
 Usage: python3 scripts/chain_growth.py [max_k] [--ks K,K,...]
-                                      [--order subterm|weight]
 
 Without --ks it runs k = 1 .. max_k (default 10); with --ks, only the
-listed lengths, e.g. --ks 10,50,100,200.  The atom ordering is the
-subterm order unless --order says otherwise.
+listed lengths, e.g. --ks 10,50,100,200.
 """
 
 import argparse
@@ -39,12 +37,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(prog="chain_growth.py")
     parser.add_argument("max_k", nargs="?", type=int, default=10)
     parser.add_argument("--ks", help="comma-separated chain lengths")
-    parser.add_argument("--order", choices=("subterm", "weight"),
-                        default="subterm")
     args = parser.parse_args()
     ks = ([int(k) for k in args.ks.split(",")] if args.ks
           else range(1, args.max_k + 1))
-    options = SolveOptions(ordering=OrderingSpec(kind=args.order))
+    options = SolveOptions(ordering=OrderingSpec(kind="subterm"))
     print(f"{'k':>4} {'instantiations':>15} {'propagations':>13} "
           f"{'decides':>8} {'verdict':>8} {'seconds':>8}")
     for k in ks:

@@ -320,7 +320,7 @@ def maximum_literal(o: OrderingSpec, c: Clause) -> Optional[Literal]:
     """The unique literal strictly greater than all others, if it exists."""
     if c.is_empty:
         raise ValueError("empty clause has no maximum literal")
-    counts = c.counts
+    counts: Counter = Counter(c.literals)
     for lit in counts:
         if counts[lit] > 1:
             continue
@@ -332,12 +332,7 @@ def maximum_literal(o: OrderingSpec, c: Clause) -> Optional[Literal]:
 
 def compare_clauses(o: OrderingSpec, c1: Clause, c2: Clause) -> Comparison:
     """Multiset extension of the literal ordering; INCOMPARABLE propagates."""
-    if total_on_ground(o) and c1.is_ground and c2.is_ground:
-        k1, k2 = clause_order_key(o, c1), clause_order_key(o, c2)
-        if k1 == k2:
-            return Comparison.EQ
-        return Comparison.GT if k1 > k2 else Comparison.LT
-    m1, m2 = c1.counts, c2.counts
+    m1, m2 = Counter(c1.literals), Counter(c2.literals)
     only1 = list((m1 - m2).elements())
     only2 = list((m2 - m1).elements())
     if not only1 and not only2:

@@ -307,14 +307,6 @@ class Clause:
     cid: int = field(default_factory=lambda: next(_clause_ids))
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
     _features: Optional[tuple] = field(default=None, init=False, repr=False)
-    _counts: Optional[Counter] = field(default=None, init=False, repr=False)
-
-    @property
-    def counts(self) -> Counter:
-        # The literal multiset, built once; callers must not mutate it.
-        if self._counts is None:
-            object.__setattr__(self, "_counts", Counter(self.literals))
-        return self._counts
 
     @property
     def features(self) -> tuple[int, Counter]:
