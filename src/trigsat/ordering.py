@@ -164,11 +164,29 @@ def _covers(big: Counter, small: Counter) -> bool:
 def _kbo(o: OrderingSpec, s: Term, t: Term, can_gt: bool = True,
          can_lt: bool = True) -> Comparison:
     """KBO on terms.  A loop down the first differing argument pair;
-    `can_gt`/`can_lt` carry the variable conditions of the levels above."""
+    `can_gt`/`can_lt` carry the variable conditions of the levels above.
+
+    `diff` holds each variable's occurrences in s minus those in t, and
+    `fewer`/`more` count the variables that s has fewer/more of.  A level
+    takes off the variables of the arguments after the pair it descends
+    into (those before it are equal on both sides), so each subterm is
+    counted once and the walk is linear in the size of s and t."""
+    diff = var_counts(s)
+    diff.subtract(var_counts(t))
+    fewer = sum(n < 0 for n in diff.values())
+    more = sum(n > 0 for n in diff.values())
+
+    def take_off(u: Term, sign: int) -> None:
+        nonlocal fewer, more
+        for v, n in var_counts(u).items():
+            old = diff[v]
+            new = diff[v] = old - sign * n
+            fewer += (new < 0) - (old < 0)
+            more += (new > 0) - (old > 0)
+
     while s is not t:
-        vs, vt = var_counts(s), var_counts(t)
-        can_gt = can_gt and _covers(vs, vt)
-        can_lt = can_lt and _covers(vt, vs)
+        can_gt = can_gt and not fewer
+        can_lt = can_lt and not more
         ws, wt = term_weight(o, s), term_weight(o, t)
         if ws != wt:
             c = Comparison.GT if ws > wt else Comparison.LT
@@ -177,12 +195,16 @@ def _kbo(o: OrderingSpec, s: Term, t: Term, can_gt: bool = True,
         elif s.fn != t.fn:
             c = o.compare_symbols(s.fn, t.fn)
         else:
-            for sa, ta in zip(s.args, t.args):
+            for i, (sa, ta) in enumerate(zip(s.args, t.args)):
                 if sa is not ta:
-                    s, t = sa, ta
                     break
             else:
                 raise AssertionError("equal-argument atoms must compare EQ earlier")
+            for u in s.args[i + 1:]:
+                take_off(u, 1)
+            for u in t.args[i + 1:]:
+                take_off(u, -1)
+            s, t = sa, ta
             continue
         if c is Comparison.GT:
             return Comparison.GT if can_gt else Comparison.INCOMPARABLE

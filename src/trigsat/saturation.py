@@ -217,11 +217,17 @@ def inferences(sides: dict[int, tuple[list[int], list[int]]], first: Clause,
             yield "resolution", (first.cid, second.cid), r
 
 
-def _pick_given(passive: list[Clause], o: OrderingSpec) -> Clause:
-    # Smallest clause first under the multiset ordering, cid as tie-break.
+def _pick_given(passive: list[Clause], o: OrderingSpec,
+                memo: dict[tuple[int, int], Comparison]) -> Clause:
+    # A left-to-right scan: c replaces the running best when it is smaller,
+    # or EQ or INCOMPARABLE with a lower cid.  Under a partial order that
+    # need not be a least clause; tests/golden/saturation_order.json pins
+    # the picks.  `memo` keeps earlier scans' comparisons by cid pair.
     best = passive[0]
     for c in passive[1:]:
-        cmp = compare_clauses(o, c, best)
+        cmp = memo.get((c.cid, best.cid))
+        if cmp is None:
+            cmp = memo[c.cid, best.cid] = compare_clauses(o, c, best)
         if cmp is Comparison.LT:
             best = c
         elif cmp in (Comparison.INCOMPARABLE, Comparison.EQ) and c.cid < best.cid:
@@ -246,6 +252,7 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
 
     active: list[Clause] = []
     passive: list[Clause] = list(inputs)
+    compared: dict[tuple[int, int], Comparison] = {}
 
     def retained_count() -> int:
         return len(active) + len(passive)
@@ -262,7 +269,7 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
         if time.monotonic() - started > budget.timeout:
             return SaturationReport(SaturationOutcome.BUDGET_EXCEEDED,
                                     active + passive, selection, counts)
-        given = _pick_given(passive, o)
+        given = _pick_given(passive, o, compared)
         passive = [p for p in passive if p is not given]
         if is_tautology(given):
             counts["tautologies"] += 1

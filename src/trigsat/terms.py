@@ -310,12 +310,20 @@ class Clause:
 
     @property
     def features(self) -> tuple[int, Counter]:
-        # (symbol count, literals per (sign, predicate)): no substitution
-        # lowers either, so C subsumes D only if D's dominates (Schulz 2013).
+        # (symbol count, literals per (sign, predicate) and occurrences per
+        # (sign, function symbol, arity)): a substitution only adds symbol
+        # occurrences, and C subsumes D by a sign-preserving injection of
+        # its literals, so only if D's vector dominates (Schulz 2013).
         if self._features is None:
+            counts = Counter((l.positive, l.atom.pred) for l in self.literals)
+            for l in self.literals:
+                stack = [t for t in l.atom.args if not isinstance(t, Var)]
+                while stack:
+                    t = stack.pop()
+                    counts[l.positive, t.fn, len(t.args)] += 1
+                    stack.extend(a for a in t.args if not isinstance(a, Var))
             object.__setattr__(self, "_features", (
-                sum(symbol_count(l.atom) for l in self.literals),
-                Counter((l.positive, l.atom.pred) for l in self.literals)))
+                sum(symbol_count(l.atom) for l in self.literals), counts))
         return self._features
 
     @property

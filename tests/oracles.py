@@ -406,3 +406,19 @@ def ref_sort_clause(count, c: Clause, o) -> tuple:
 
     return tuple(lit for _, lit in sorted(enumerate(c.literals),
                                           key=cmp_to_key(cmp)))
+
+
+# -- reference given-clause choice ------------------------------------
+
+def ref_pick_given(passive: list[Clause], o) -> Clause:
+    """`trigsat.saturation._pick_given` as written before it kept a memo:
+    a left-to-right scan for the smallest clause under `compare_clauses`,
+    with cid breaking EQ and INCOMPARABLE."""
+    best = passive[0]
+    for c in passive[1:]:
+        cmp = compare_clauses(o, c, best)
+        if cmp is Comparison.LT:
+            best = c
+        elif cmp in (Comparison.INCOMPARABLE, Comparison.EQ) and c.cid < best.cid:
+            best = c
+    return best

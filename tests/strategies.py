@@ -12,14 +12,16 @@ PREDICATES = {"p": 2, "q": 1, "r": 1}
 VARIABLES = ("X", "Y", "Z")
 
 
-def terms(max_depth: int = 3, variables: tuple[str, ...] = VARIABLES):
+def terms(max_depth: int = 3, variables: tuple[str, ...] = VARIABLES,
+          unary: tuple[str, ...] = ("g",)):
     base = st.sampled_from([App("a"), App("b")])
     if variables:
         base = base | st.sampled_from([Var(v) for v in variables])
 
     def extend(children):
         return st.one_of(
-            st.builds(lambda t: App("g", (t,)), children),
+            *(st.builds(lambda t, name=name: App(name, (t,)), children)
+              for name in unary),
             st.builds(lambda s, t: App("f", (s, t)), children, children),
         )
 
@@ -83,3 +85,76 @@ def weight_orderings(draw):
     return OrderingSpec(kind="weight", weights=weights,
                         precedence=tuple(precedence),
                         precedence_dominant=draw(st.booleans()))
+
+
+# -- deeper terms, for the per-symbol subsumption counts ---------------
+
+# Renaming a function symbol keeps its arity: f is binary, g and h unary.
+SWAPS = {"f": "f2", "g": "h", "h": "g", "a": "b", "b": "a"}
+
+
+def nested_terms(max_leaves: int = 8):
+    """Terms over f/2, g/1, h/1, a, b and `VARIABLES`, up to `max_leaves`
+    leaves."""
+    return terms(max_depth=max_leaves - 2, unary=("g", "h"))
+
+
+def nested_clauses(max_size: int = 3, max_leaves: int = 6):
+    def literal(pred, args, positive):
+        return Literal(Atom(pred, tuple(args)), positive)
+
+    lits = st.one_of([st.builds(
+        literal, st.just(pred),
+        st.lists(nested_terms(max_leaves), min_size=arity, max_size=arity),
+        st.booleans()) for pred, arity in sorted(PREDICATES.items())])
+    return st.builds(lambda ls: Clause(tuple(ls), origin="input-nonground"),
+                     st.lists(lits, min_size=1, max_size=max_size))
+
+
+def _change_symbol(t, draw):
+    """t with one function symbol occurrence renamed (see `SWAPS`), or
+    one subterm wrapped in g or cut down to its first argument."""
+    path = []
+    while isinstance(t, App) and t.args and draw(st.booleans()):
+        i = draw(st.integers(0, len(t.args) - 1))
+        path.append((t, i))
+        t = t.args[i]
+    how = draw(st.sampled_from(("rename", "wrap", "cut")))
+    if how == "wrap" or isinstance(t, Var):
+        t = App("g", (t,))
+    elif how == "cut" and t.args:
+        t = t.args[0]
+    else:
+        t = App(SWAPS.get(t.fn, t.fn + "2"), t.args)
+    for parent, i in reversed(path):
+        t = App(parent.fn, parent.args[:i] + (t,) + parent.args[i + 1:])
+    return t
+
+
+@st.composite
+def nested_subsumption_pairs(draw):
+    """(c, d): d an instance of c with nested terms, then with some
+    function symbols changed, literals flipped, dropped or added, and
+    shuffled, so that each count of the feature vector gets to decide."""
+    c = draw(nested_clauses())
+    theta = Substitution(dict(zip(
+        (Var(v) for v in VARIABLES),
+        draw(st.lists(nested_terms(4), min_size=3, max_size=3)))))
+    d_lits = list(theta(c).literals)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(d_lits) - 1))
+        lit = d_lits[i]
+        how = draw(st.sampled_from(("symbol", "flip", "drop", "add")))
+        if how == "symbol" and lit.atom.args:
+            j = draw(st.integers(0, len(lit.atom.args) - 1))
+            args = list(lit.atom.args)
+            args[j] = _change_symbol(args[j], draw)
+            d_lits[i] = Literal(Atom(lit.atom.pred, tuple(args)), lit.positive)
+        elif how == "flip":
+            d_lits[i] = lit.complement()
+        elif how == "drop" and len(d_lits) > 1:
+            del d_lits[i]
+        else:
+            d_lits.append(draw(nested_clauses(max_size=1)).literals[0])
+    return c, Clause(tuple(draw(st.permutations(d_lits))),
+                     origin="input-nonground")

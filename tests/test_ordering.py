@@ -21,7 +21,17 @@ from trigsat.ordering import (
     term_weight,
     total_on_ground,
 )
-from trigsat.terms import App, Atom, Clause, Literal, Var, clause, const, fn
+from trigsat.terms import (
+    App,
+    Atom,
+    Clause,
+    Literal,
+    Var,
+    clause,
+    const,
+    fn,
+    symbol_count,
+)
 
 from oracles import _ref_weight, ref_compare_atoms, ref_compare_clauses
 from strategies import (
@@ -384,3 +394,102 @@ class TestGroundOrderKeys:
         assert compare_clauses(o, c1, c2) is Comparison.GT
         assert compare_clauses(o, c2, c1) is Comparison.LT
         assert term_weight(o, nest(5000, a)) == 5000 * o.symbol_weight("f") + 1
+
+
+def deep_pair(depth, bottom_s, bottom_t, side=None):
+    """f^depth(bottom_s) and f^depth(bottom_t) with unary f, or with
+    binary f and `side(i)` as the second argument at level i."""
+    s, t = bottom_s, bottom_t
+    for i in range(depth):
+        if side is None:
+            s, t = fn("f", s), fn("f", t)
+        else:
+            s, t = fn("f", s, side(i)), fn("f", t, side(i))
+    return s, t
+
+
+@st.composite
+def context_pairs(draw):
+    """Two terms that differ only at one position below a random context,
+    whose siblings carry variables on both sides of the path."""
+    s = draw(terms(max_depth=2))
+    t = draw(terms(max_depth=2))
+    for _ in range(draw(st.integers(0, 6))):
+        how = draw(st.sampled_from(("g", "left", "right")))
+        if how == "g":
+            s, t = fn("g", s), fn("g", t)
+        else:
+            other = draw(terms(max_depth=2))
+            s, t = ((fn("f", s, other), fn("f", t, other)) if how == "left"
+                    else (fn("f", other, s), fn("f", other, t)))
+    return s, t
+
+
+class TestDeepNonGroundKbo:
+    """`_kbo` keeps its variable counts as it descends instead of
+    recounting them, so comparing deep non-ground terms is linear."""
+
+    @given(weight_orderings(), context_pairs())
+    def test_matches_reference_below_a_context(self, o, pair):
+        s, t = pair
+        for a1, a2 in ((Atom("q", (s,)), Atom("q", (t,))),
+                       (Atom("p", (s, X)), Atom("p", (t, Y)))):
+            assert (compare_atoms(o, a1, a2)
+                    is ref_compare_atoms(o, dict(o.weights), a1, a2))
+            assert (compare_atoms(o, a2, a1)
+                    is ref_compare_atoms(o, dict(o.weights), a2, a1))
+
+    @pytest.mark.parametrize("o", [
+        WEIGHT, COUNTERSEL, OrderingSpec(kind="weight", weights={"f": 3})])
+    @pytest.mark.parametrize("bottoms, side", [
+        ((fn("g", X), fn("h", X)), None),
+        ((fn("g", X), fn("h", Y)), None),
+        ((fn("g", X), fn("g", fn("g", Y))), None),
+        ((fn("g", X), fn("h", X)), lambda i: Var(f"V{i % 7}")),
+        ((fn("h", X), fn("g", Y)), lambda i: X if i % 2 else Y),
+        ((X, fn("g", Y)), lambda i: fn("g", Var(f"V{i % 3}"))),
+    ])
+    def test_matches_reference_at_depth_150(self, o, bottoms, side):
+        s, t = deep_pair(150, *bottoms, side=side)
+        a1, a2 = Atom("p", (s,)), Atom("p", (t,))
+        for x, y in ((a1, a2), (a2, a1)):
+            assert (compare_atoms(o, x, y)
+                    is ref_compare_atoms(o, dict(o.weights), x, y))
+
+    @pytest.mark.parametrize("o", [
+        WEIGHT, OrderingSpec(kind="weight", weights={"f": 3})])
+    def test_depth_5000(self, o):
+        s, t = deep_pair(5000, fn("g", X), fn("h", X))
+        # Equal weight down to g(X) against h(X): h > g by name.
+        assert compare_atoms(o, Atom("p", (s,)), Atom("p", (t,))) \
+            is Comparison.LT
+        s, t = deep_pair(5000, fn("g", X), fn("h", Y))
+        assert compare_atoms(o, Atom("p", (s,)), Atom("p", (t,))) \
+            is Comparison.INCOMPARABLE
+        s, t = deep_pair(5000, fn("h", X), fn("g", X),
+                         side=lambda i: Var(f"V{i % 3}"))
+        assert compare_atoms(o, Atom("p", (s, Y)), Atom("p", (t, Y))) \
+            is Comparison.GT
+
+    @pytest.mark.parametrize("side", [None, lambda i: Var(f"V{i % 50}")])
+    def test_variables_are_counted_once_per_node(self, monkeypatch, side):
+        # Every call to `var_counts` walks its argument, so the nodes it is
+        # given bound the work.  Each atom is counted once (for its cached
+        # variable condition), the first differing arguments once more, and
+        # each sibling once: under three times the atoms' size.  Recounting
+        # at each level would give about depth^2 / 2 nodes.
+        import trigsat.ordering as ordering
+
+        walked = []
+        real = ordering.var_counts
+
+        def counting(obj):
+            walked.append(symbol_count(obj))
+            return real(obj)
+
+        monkeypatch.setattr(ordering, "var_counts", counting)
+        s, t = deep_pair(2000, fn("g", X), fn("h", X), side=side)
+        a1, a2 = Atom("p", (s,)), Atom("p", (t,))
+        o = OrderingSpec(kind="weight")  # fresh: nothing cached yet
+        assert compare_atoms(o, a1, a2) is Comparison.LT
+        assert sum(walked) <= 3 * (symbol_count(a1) + symbol_count(a2))

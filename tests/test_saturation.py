@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trigsat.ordering import OrderingSpec
+from trigsat.saturation import _pick_given
 from trigsat.parser import parse_problem
 from trigsat.saturation import (
     InvalidSelectionError,
@@ -33,8 +34,16 @@ from trigsat.terms import (
     fn,
 )
 
-from oracles import evaluate_clause, ref_subsumes
-from strategies import clauses, ground_substitutions, literals, terms
+from oracles import evaluate_clause, ref_pick_given, ref_subsumes
+from strategies import (
+    clauses,
+    ground_substitutions,
+    literals,
+    nested_clauses,
+    nested_subsumption_pairs,
+    terms,
+    weight_orderings,
+)
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 a, b = const("a"), const("b")
@@ -244,6 +253,58 @@ class TestSubsumes:
         assert not subsumes(c, shifted)
 
 
+def dominates(big, small) -> bool:
+    """Whether feature vector `big` is at least `small` in every count."""
+    (big_size, big_counts), (small_size, small_counts) = big, small
+    return big_size >= small_size and all(
+        big_counts[k] >= n for k, n in small_counts.items())
+
+
+class TestFeatureVector:
+    """`Clause.features` counts literals per (sign, predicate) and function
+    symbol occurrences per (sign, symbol, arity); `subsumes` rejects a pair
+    whose vectors do not dominate, so the vector must never reject a true
+    subsumer."""
+
+    @given(st.one_of(subsumption_pairs(), nested_subsumption_pairs()))
+    def test_subsumer_is_dominated(self, pair):
+        c, d = pair
+        for x, y in ((c, d), (d, c)):
+            if ref_subsumes(x, y):
+                assert dominates(y.features, x.features)
+
+    @given(nested_clauses(), ground_substitutions(max_depth=3))
+    def test_instance_dominates(self, c, theta):
+        assert dominates(theta(c).features, c.features)
+
+    @given(nested_subsumption_pairs())
+    def test_nested_terms_match_unfiltered_reference(self, pair):
+        c, d = pair
+        assert subsumes(c, d) is ref_subsumes(c, d)
+        assert subsumes(d, c) is ref_subsumes(d, c)
+
+    def test_counts_symbols_per_sign_and_arity(self):
+        c = clause([lit(Atom("p", (fn("f", X, fn("g", a)), Y)), False),
+                    lit(Atom("q", (fn("g", X),)))])
+        size, counts = c.features
+        assert size == 9
+        assert counts == {(False, "p"): 1, (True, "q"): 1,
+                          (False, "f", 2): 1, (False, "g", 1): 1,
+                          (False, "a", 0): 1, (True, "g", 1): 1}
+
+    def test_symbol_counts_refuse_what_predicates_allow(self):
+        # Same signs and predicates, but d has no g under a negative
+        # literal: the per-predicate counts pass and the symbol counts do
+        # not.
+        c = clause([lit(Atom("q", (fn("g", X),)), False)])
+        d = clause([lit(Atom("q", (fn("f", a, a),)), False),
+                    lit(Atom("r", (fn("g", a),)))])
+        assert not dominates(d.features, c.features)
+        assert not subsumes(c, d)
+        assert subsumes(c, clause([lit(Atom("q", (fn("g", fn("g", a)),)),
+                                       False)]))
+
+
 class TestTautology:
     def test_complementary_pair(self):
         assert is_tautology(clause([lit(Atom("p", (a,))),
@@ -445,3 +506,71 @@ class TestPinnedCorpusCounts:
         report = solve_problem(load_corpus(corpus), options).saturation
         assert [str(c) for c in report.clauses] == self.PINNED[name]["clauses"]
         assert report.counts == self.PINNED[name]["counts"]
+
+    def test_check_saturated_on_the_settheory_closure(self):
+        # The saturated settheory theory re-derives 235 inferences, each
+        # subsumed in the set: a subsumption filter that refuses a true
+        # subsumer reports a violation here.
+        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.pipeline import SolveOptions, solve_problem
+
+        ordering = corpus_ordering("settheory")
+        options = SolveOptions(select="maximal", ordering=ordering)
+        report = solve_problem(load_corpus("settheory"), options).saturation
+        check = check_saturated(report.clauses, report.selection, ordering)
+        assert check.outcome is SaturationOutcome.SATURATED
+        assert check.violations == []
+        assert check.counts == {"inferences": 235}
+
+
+PICK_STEPS = st.lists(st.tuples(
+    st.sampled_from(("pick", "remove", "append", "twin")),
+    st.integers(0, 50)), max_size=12)
+
+
+class TestPickGiven:
+    """`_pick_given` reads comparisons of earlier scans from its memo; at
+    every step it must pick what the scan without a memo picks."""
+
+    @staticmethod
+    def run_steps(o, passive, extra, steps):
+        memo: dict = {}
+        passive = list(passive)
+        for how, n in steps:
+            if how == "append" and extra:
+                passive.append(extra[n % len(extra)])
+            elif how == "twin":
+                # The same multiset under a new cid: only cids break the
+                # tie between the two.
+                twin = passive[n % len(passive)]
+                passive.append(Clause(tuple(reversed(twin.literals)),
+                                      origin=twin.origin))
+            elif how == "remove" and len(passive) > 1:
+                del passive[n % len(passive)]
+            given = _pick_given(passive, o, memo)
+            assert given is ref_pick_given(passive, o)
+            if how == "pick" and len(passive) > 1:
+                passive = [c for c in passive if c is not given]
+
+    @given(weight_orderings(), st.lists(clauses(max_size=3), min_size=1,
+                                        max_size=6),
+           st.lists(clauses(max_size=3), max_size=4), PICK_STEPS)
+    def test_weight_order_matches_reference(self, o, passive, extra, steps):
+        self.run_steps(o, passive, extra, steps)
+
+    @given(st.lists(clauses(max_size=3), min_size=1, max_size=6),
+           st.lists(clauses(max_size=3), max_size=4), PICK_STEPS)
+    def test_subterm_order_matches_reference(self, passive, extra, steps):
+        self.run_steps(OrderingSpec(kind="subterm"), passive, extra, steps)
+
+    def test_equal_multisets_pick_the_lower_cid(self):
+        first = clause([lit(Atom("q", (X,))), lit(Atom("r", (X,)))])
+        second = Clause(tuple(reversed(first.literals)),
+                        origin="input-nonground")
+        bigger = clause([lit(Atom("q", (fn("g", X),)))])
+        memo: dict = {}
+        for passive in ([bigger, second, first], [second, bigger, first],
+                        [first, second]):
+            assert _pick_given(passive, WEIGHT, memo) is first
+            assert ref_pick_given(passive, WEIGHT) is first
+        assert _pick_given([second, bigger], WEIGHT, memo) is second
