@@ -4,7 +4,9 @@
 The two-clause p/q theory walks one chain step per instantiation, so the
 count should stay linear in the chain length k (comfortably inside the
 quadratic envelope the Horn/2SAT complexity argument promises).  The
-seconds column is the wall time to parse and solve one chain.
+run column is the CDCL run's own seconds (`RunStats.wall_time`, the time
+`--timeout` bounds); the seconds column is the wall time of the whole
+solve of one parsed chain: selection, saturation and the run.
 
 Usage: python3 scripts/chain_growth.py [max_k] [--ks K,K,...]
 
@@ -42,14 +44,15 @@ def main() -> int:
           else range(1, args.max_k + 1))
     options = SolveOptions(ordering=OrderingSpec(kind="subterm"))
     print(f"{'k':>4} {'instantiations':>15} {'propagations':>13} "
-          f"{'decides':>8} {'verdict':>8} {'seconds':>8}")
+          f"{'decides':>8} {'verdict':>8} {'run':>8} {'seconds':>8}")
     for k in ks:
         start = time.perf_counter()
         result = solve_problem(chain_problem(k), options)
         seconds = time.perf_counter() - start
         stats = result.run.stats
         print(f"{k:>4} {stats.instantiations:>15} {stats.propagates:>13} "
-              f"{stats.decides:>8} {result.verdict_line:>8} {seconds:>8.2f}",
+              f"{stats.decides:>8} {result.verdict_line:>8} "
+              f"{stats.wall_time:>8.2f} {seconds:>8.2f}",
               flush=True)
     return 0
 

@@ -24,11 +24,12 @@ assigned; eager mode tries after every propagation fixpoint.
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .ordering import (
     Comparison,
@@ -38,6 +39,7 @@ from .ordering import (
     total_on_ground,
 )
 from .terms import (
+    App,
     Atom,
     Clause,
     Literal,
@@ -55,11 +57,13 @@ class TrailEntry:
 
 
 class Trail:
-    """Assignment list, oldest first; exposes recency and level lookups."""
+    """Assignment list, oldest first; exposes recency and level lookups.
+    `on_cut` gets the atoms each `truncate_keep` or `clear` unassigns."""
 
-    def __init__(self) -> None:
+    def __init__(self, on_cut: Optional[Callable] = None) -> None:
         self.entries: list[TrailEntry] = []
         self._index: dict[Literal, int] = {}
+        self._on_cut = on_cut
 
     @property
     def level(self) -> int:
@@ -103,12 +107,14 @@ class Trail:
 
     def truncate_keep(self, keep: int) -> None:
         """Keep the first `keep` entries."""
+        cut = self.entries[keep:]
         self.entries = self.entries[:keep]
         self._index = {e.literal: i for i, e in enumerate(self.entries)}
+        if self._on_cut is not None:
+            self._on_cut(e.literal.atom for e in cut)
 
     def clear(self) -> None:
-        self.entries = []
-        self._index = {}
+        self.truncate_keep(0)
 
 
 def sort_clause(trail: Trail, c: Clause, o: OrderingSpec) -> tuple[Literal, ...]:
@@ -191,6 +197,37 @@ def _slim(c: Clause) -> Clause:
     return c if len(lits) == len(c.literals) else Clause(lits, origin=c.origin)
 
 
+def _candidate_key(pattern: Literal) -> tuple:
+    """What a ground literal needs to match pattern: its polarity, its
+    predicate and the top symbol at each non-variable argument position."""
+    a = pattern.atom
+    return ((pattern.positive, a.pred),
+            tuple((i, t.fn) for i, t in enumerate(a.args) if isinstance(t, App)))
+
+
+class _DecideHeap:
+    """The atoms of G by order key, under a total order: it holds every
+    unassigned atom of G once, and an assigned one until it is popped."""
+
+    def __init__(self, o: OrderingSpec, atoms: dict[Atom, None]) -> None:
+        self.o, self.atoms = o, atoms  # G's atoms, shared with the solver
+        self.heap: list[tuple[tuple, Atom]] = []
+        self.queued: set[Atom] = set()
+
+    def push(self, atoms: Iterable[Atom]) -> None:
+        for a in atoms:
+            if a in self.atoms and a not in self.queued:
+                self.queued.add(a)
+                heapq.heappush(self.heap, (atom_order_key(self.o, a), a))
+
+    def least(self, trail: Trail) -> Optional[Atom]:
+        """The least atom of G that the trail leaves unassigned, if any."""
+        heap = self.heap
+        while heap and trail.defines(heap[0][1]):
+            self.queued.discard(heapq.heappop(heap)[1])
+        return heap[0][1] if heap else None
+
+
 class _Timeout(Exception):
     """The run's deadline passed inside an instantiation search."""
 
@@ -210,11 +247,14 @@ class Solver:
         if instantiate_mode not in ("lazy", "eager"):
             raise ValueError(f"unknown instantiation mode: {instantiate_mode!r}")
         self.ordering = ordering
-        self.theory = list(theory)
-        self.selection = selection
         self.mode = instantiate_mode
         self.budgets = budgets
-        self.trail = Trail()
+        # The atoms of G in first-seen order; G only grows.
+        self._atoms: dict[Atom, None] = {}
+        # Decide reads a heap under a total order; the subterm order scans.
+        self._heap = (_DecideHeap(ordering, self._atoms)
+                      if total_on_ground(ordering) else None)
+        self.trail = Trail(None if self._heap is None else self._heap.push)
         self.lc: Optional[Clause] = None
         self.stats = RunStats()
         self.trace: list[str] = []
@@ -223,9 +263,15 @@ class Solver:
         self._twosat = twosat_monitor
         self.ground: list[Clause] = []
         self._ground_keys: set = set()
-        # The atoms of G in first-seen order; G only grows.
-        self._atoms: dict[Atom, None] = {}
         self._instances_in_ground: dict[int, set] = {}
+        # Each theory clause with its trigger patterns (the complements of
+        # its selected literals) and their candidate keys.
+        self._triggers = []
+        for c in theory:
+            patterns = [c.literals[p].complement()
+                        for p in sorted(selection[c.cid])]
+            keys = [_candidate_key(p) for p in patterns]
+            self._triggers.append((c, patterns, keys))
         self._deadline = math.inf  # run() sets it from budgets.timeout
         for c in ground:
             self._add_ground(c)
@@ -242,8 +288,10 @@ class Solver:
             return None
         self._ground_keys.add(slim.key)
         self.ground.append(slim)
-        for lit in slim.literals:
-            self._atoms.setdefault(lit.atom)
+        new = [lit.atom for lit in slim.literals if lit.atom not in self._atoms]
+        self._atoms.update(dict.fromkeys(new))
+        if self._heap is not None:
+            self._heap.push(new)
         return slim
 
     def _emit(self, fmt: str, *args: object) -> None:
@@ -341,17 +389,18 @@ class Solver:
                 self._unit_or_false(c) is not None for c in self.ground):
             raise RuntimeError(
                 "decide blocked: a propagation or conflict is pending")
-        unassigned = [a for a in self._atoms if not self.trail.defines(a)]
-        if not unassigned:
-            return False
-        o = self.ordering
-        if total_on_ground(o):
-            best = min(unassigned, key=lambda a: atom_order_key(o, a))
+        if self._heap is not None:
+            best = self._heap.least(self.trail)  # stays queued until popped
+            if best is None:
+                return False
         else:
+            unassigned = [a for a in self._atoms if not self.trail.defines(a)]
+            if not unassigned:
+                return False
             unassigned.sort(key=atom_key)
             best = unassigned[0]
             for a in unassigned[1:]:
-                if compare_atoms(o, a, best) is Comparison.LT:
+                if compare_atoms(self.ordering, a, best) is Comparison.LT:
                     best = a
         level = self.trail.level + 1
         self.trail.push(Literal(best, False), level, None)
@@ -449,26 +498,44 @@ class Solver:
         return "added"
 
     def _find_new_instance(self) -> Optional[tuple[Clause, Substitution, Clause]]:
-        trail_lits = self.trail.literals()
-        for c in self.theory:
-            positions = sorted(self.selection[c.cid])
-            patterns = [c.literals[p].complement() for p in positions]
-            # Enumerate matches exhaustively: earlier ones may be in G already.
-            result = self._search_all(patterns, trail_lits, c)
-            if result is not None:
-                return result
+        # A pattern's candidates: the trail literals, in trail order, that
+        # share its key; no other trail literal can match it.
+        heads: dict[tuple[bool, str], list[Literal]] = {}
+        for lit in self.trail.literals():
+            heads.setdefault((lit.positive, lit.atom.pred), []).append(lit)
+        by_key: dict[tuple, list[Literal]] = {}
+        for c, patterns, keys in self._triggers:
+            lists = []
+            for key in keys:
+                found = by_key.get(key)
+                if found is None:
+                    head, tops = key
+                    found = heads.get(head, [])
+                    for i, fn in tops:
+                        found = [l for l in found if l.atom.args[i].fn == fn]
+                    by_key[key] = found
+                if not found:
+                    break
+                lists.append(found)
+            else:
+                # Enumerate matches exhaustively: earlier ones may be in G.
+                result = self._search_all(patterns, lists, c)
+                if result is not None:
+                    return result
         return None
 
-    def _search_all(self, patterns: list[Literal], trail_lits: list[Literal],
+    def _search_all(self, patterns: list[Literal], lists: list[list[Literal]],
                     c: Clause) -> Optional[tuple[Clause, Substitution, Clause]]:
         """Find, depth-first in trail order, the first match of the patterns
-        to trail literals whose instance of c is not in G.  Frame i holds the
-        bindings of patterns < i and the trail literals left for pattern i."""
+        to their candidate lists whose instance of c is not in G.  Frame i
+        holds the bindings of patterns < i and the candidates left for
+        pattern i."""
         # Matches whose instance is known to be in G (which only grows).
         # Every full match binds the same variables in the same order, so
         # the bound terms alone identify it.
         in_ground = self._instances_in_ground.setdefault(c.cid, set())
-        frames = [({}, iter(trail_lits))]
+        lists = [*lists, ()]  # for the frame of a full match
+        frames = [({}, iter(lists[0]))]
         while frames:
             if time.monotonic() > self._deadline:
                 raise _Timeout
@@ -478,7 +545,7 @@ class Solver:
                 for lit in todo:
                     nxt = match_literal(pattern, lit, bindings)
                     if nxt is not None:
-                        frames.append((nxt, iter(trail_lits)))
+                        frames.append((nxt, iter(lists[len(frames)])))
                         break
                 else:
                     frames.pop()

@@ -16,7 +16,8 @@ from typing import Iterable, Optional
 
 from trigsat.models import ProductionRecord, int_of
 from trigsat.ordering import Comparison, compare_clauses, compare_literals
-from trigsat.terms import App, Atom, Clause, Term, Var, match_literal
+from trigsat.terms import (App, Atom, Clause, Substitution, Term, Var,
+                           match_literal)
 
 
 def truth_table_sat(clauses: list[Clause]) -> Optional[dict[Atom, bool]]:
@@ -422,3 +423,37 @@ def ref_pick_given(passive: list[Clause], o) -> Clause:
         elif cmp in (Comparison.INCOMPARABLE, Comparison.EQ) and c.cid < best.cid:
             best = c
     return best
+
+
+# -- reference instantiation search --------------------------------------
+
+def ref_find_new_instance(theory: list[Clause], selection: dict,
+                          trail: list, ground: list[Clause]):
+    """`trigsat.cdcl.Solver._find_new_instance` as written before trigger
+    candidate lists: for each theory clause in order, a depth-first search
+    over the whole trail, in trail order, for the first match of the
+    complements of its selected literals whose instance (duplicate
+    literals merged) is not among the `ground` clauses.  Returns (clause,
+    substitution, instance) or None."""
+    in_ground = {Clause(tuple(dict.fromkeys(g.literals))).key for g in ground}
+    for c in theory:
+        patterns = [c.literals[p].complement() for p in sorted(selection[c.cid])]
+
+        def search(i, bindings):
+            if i == len(patterns):
+                theta = Substitution(bindings)
+                instance = theta.apply_clause(c, origin="instance")
+                merged = Clause(tuple(dict.fromkeys(instance.literals)))
+                return (None if merged.key in in_ground
+                        else (c, theta, instance))
+            for lit in trail:
+                nxt = match_literal(patterns[i], lit, bindings)
+                found = None if nxt is None else search(i + 1, nxt)
+                if found is not None:
+                    return found
+            return None
+
+        found = search(0, {})
+        if found is not None:
+            return found
+    return None

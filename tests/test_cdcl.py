@@ -3,25 +3,37 @@
 import gc
 import random
 import weakref
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trigsat.cdcl
 from trigsat.cdcl import Budgets, Solver, Trail, sort_clause
 from trigsat.models import ProductionRecord, produce_model
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
 from trigsat.pipeline import SolveOptions, solve_problem
-from trigsat.terms import Atom, Clause, Literal, clause, const, fn
+from trigsat.terms import (Atom, Clause, Literal, Substitution, Var,
+                           clause, const, fn, match_literal, vars_of)
 
 from oracles import (
     horn_sat,
     ref_decide_choice,
+    ref_find_new_instance,
     ref_sort_clause,
     truth_table_sat,
 )
-from strategies import ground_atoms, ground_literals, weight_orderings
+from strategies import (
+    PREDICATES,
+    VARIABLES,
+    ground_atoms,
+    ground_literals,
+    nested_terms,
+    terms,
+    weight_orderings,
+)
 
 a, b = const("a"), const("b")
 WEIGHT = OrderingSpec(kind="weight")
@@ -281,6 +293,86 @@ class TestInstantiate:
                                        lit("s", True, a, a)])
 
 
+def _nested_literal(term_st):
+    return st.one_of([st.builds(
+        lambda pred, args, positive: Literal(Atom(pred, tuple(args)),
+                                             positive),
+        st.just(pred), st.lists(term_st, min_size=arity, max_size=arity),
+        st.booleans()) for pred, arity in sorted(PREDICATES.items())])
+
+
+@st.composite
+def trigger_setups(draw):
+    """(theory, selection, trail, ground): theory clauses with 1-3 selected
+    literals over nested terms, sharing variables; a trail that holds
+    instances of their trigger patterns among other ground literals of
+    the same predicates, in both polarities; and a G that already holds
+    some instances of the theory."""
+    ground_terms = terms(max_depth=2, variables=(), unary=("g", "h"))
+    theory, selection = [], {}
+    for _ in range(draw(st.integers(1, 3))):
+        selected = draw(st.lists(_nested_literal(nested_terms(5)),
+                                 min_size=1, max_size=3))
+        # A valid selection covers every variable of its clause.
+        covered = sorted(vars_of(selected), key=lambda v: v.name)
+        c = Clause(tuple(selected) + (Literal(Atom("s", tuple(covered))),),
+                   origin="input-nonground")
+        theory.append(c)
+        selection[c.cid] = frozenset(range(len(selected)))
+    thetas = [Substitution(dict(zip(
+        (Var(v) for v in VARIABLES),
+        draw(st.lists(ground_terms, min_size=3, max_size=3)))))
+        for _ in range(draw(st.integers(1, 3)))]
+    pairs = [(c, theta) for c in theory for theta in thetas]
+    trail = [theta(c.literals[i]).complement()
+             for c, theta in draw(st.lists(st.sampled_from(pairs),
+                                           min_size=1))
+             for i in sorted(selection[c.cid])]
+    trail += draw(st.lists(_nested_literal(ground_terms), max_size=6))
+    trail = list({l.atom: l for l in draw(st.permutations(trail))}.values())
+    ground = [theta(c) for c, theta in draw(st.lists(st.sampled_from(pairs)))]
+    return theory, selection, trail, ground
+
+
+def _shares_key(pattern, lit):
+    """Polarity, predicate and the top symbol at every non-variable
+    argument of the pattern agree."""
+    return (pattern.positive == lit.positive
+            and pattern.atom.pred == lit.atom.pred
+            and all(isinstance(p, Var) or p.fn == t.fn
+                    for p, t in zip(pattern.atom.args, lit.atom.args)))
+
+
+class TestCandidateListsAgainstReference:
+    @settings(max_examples=100)
+    @given(trigger_setups())
+    def test_same_first_instance_as_whole_trail_scan(self, setup):
+        theory, selection, trail, ground = setup
+        s = Solver(ground=ground, theory=theory, selection=selection,
+                   ordering=WEIGHT)
+        for trail_lit in trail:
+            s.trail.push(trail_lit, 0, None)
+        calls = []
+
+        def recording(pattern, target, bindings=None):
+            calls.append((pattern, target))
+            return match_literal(pattern, target, bindings)
+
+        # Each new instance goes into G, so later rounds must skip it.
+        for _ in range(4):
+            with mock.patch.object(trigsat.cdcl, "match_literal", recording):
+                got = s._find_new_instance()
+            want = ref_find_new_instance(theory, selection, trail, s.ground)
+            assert all(_shares_key(p, t) for p, t in calls)
+            if want is None:
+                assert got is None
+                break
+            assert got is not None
+            assert (got[0].cid, dict(got[1]), got[2].literals) == \
+                (want[0].cid, dict(want[1]), want[2].literals)
+            s._add_ground(got[2])
+
+
 class TestWorkedRuns:
     def run_text(self, text, **options):
         problem = parse_problem(text)
@@ -483,6 +575,66 @@ class TestOrderKeysAgainstReference:
         assert sort_clause(trail, c, o) == ref_sort_clause(trail.count, c, o)
 
 
+class TestDecideHeap:
+    """Under weight orderings `decide` pops a heap that trail cuts and new
+    atoms of G refill; it must pick as the scan over G's atoms did."""
+
+    @given(weight_orderings(), st.lists(ground_atoms(max_depth=2), min_size=2,
+                                        max_size=8, unique=True), st.data())
+    def test_every_decide_matches_reference_scan(self, o, pool, data):
+        # Atoms of the pool outside G may be assigned, then enter G.
+        in_g = pool[:data.draw(st.integers(1, len(pool)))]
+        s = Solver(ground=[Clause(tuple(Literal(x) for x in in_g))],
+                   theory=[], selection={}, ordering=o)
+        some_clause = st.builds(
+            lambda atoms, signs: Clause(tuple(map(Literal, atoms, signs))),
+            st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                     unique=True), st.lists(st.booleans(), min_size=3))
+        ops = ("decide", "propagate", "learn", "instantiate", "cut", "clear")
+        for op in data.draw(st.lists(st.sampled_from(ops), max_size=30)):
+            g_atoms = {l.atom for c in s.ground for l in c.literals}
+            unassigned = [x for x in pool
+                          if x in g_atoms and not s.trail.defines(x)]
+            free = [x for x in pool if not s.trail.defines(x)]
+            if op == "decide":
+                assert s.decide(_guard_checked=True) == bool(unassigned)
+                if unassigned:
+                    best = ref_decide_choice(o, unassigned)
+                    assert s.trail.literals()[-1] is Literal(best, False)
+            elif op == "propagate" and free:
+                s.trail.push(Literal(data.draw(st.sampled_from(free)),
+                                     data.draw(st.booleans())),
+                             s.trail.level, s.ground[0])
+            elif op == "learn":
+                s.lc = data.draw(some_clause)
+                s.learn()
+            elif op == "instantiate":
+                added = s._add_ground(data.draw(some_clause))
+                if added is not None:
+                    s._rewind(added)
+            elif op == "cut":
+                s.trail.truncate_keep(
+                    data.draw(st.integers(0, len(s.trail.entries))))
+            elif op == "clear":
+                s.trail.clear()
+
+    def test_atom_entering_g_while_assigned_returns_after_a_cut(self):
+        pa, pb, pc = prop("a"), prop("b"), prop("c")
+        s = solver_for([clause([pc])])
+        s.trail.push(pa, 0, None)  # a is not in G yet
+        s._add_ground(clause([pa, pb]))
+        while s.decide(_guard_checked=True):
+            pass
+        assert len(s.trail.entries) == 3
+        s.trail.clear()
+        left = [pa.atom, pb.atom, pc.atom]
+        while left:
+            assert s.decide(_guard_checked=True)
+            best = ref_decide_choice(WEIGHT, left)
+            assert s.trail.literals()[-1] is Literal(best, False)
+            left.remove(best)
+
+
 def nest(depth, t):
     for _ in range(depth):
         t = fn("f", t)
@@ -500,6 +652,20 @@ class TestDeepAtomsOfEqualWeight:
         s = solver_for([Clause((Literal(self.DEEP_B), Literal(self.DEEP_A)))])
         assert s.decide(_guard_checked=True)
         assert s.trail.literals() == [Literal(self.DEEP_A, False)]
+
+    def test_decide_after_cuts(self):
+        na, nb = Literal(self.DEEP_A, False), Literal(self.DEEP_B, False)
+        s = solver_for([Clause((Literal(self.DEEP_B), Literal(self.DEEP_A)))])
+        assert s.decide(_guard_checked=True)
+        assert s.decide(_guard_checked=True)
+        assert not s.decide(_guard_checked=True)
+        assert s.trail.literals() == [na, nb]
+        s.trail.truncate_keep(1)
+        assert s.decide(_guard_checked=True)
+        assert s.trail.literals() == [na, nb]
+        s.trail.clear()
+        assert s.decide(_guard_checked=True)
+        assert s.trail.literals() == [na]
 
     def test_sort_clause(self):
         nb, pa, pb = (Literal(self.DEEP_B, False), Literal(self.DEEP_A),

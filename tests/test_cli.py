@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import trigsat.cdcl
 from trigsat.cli import main
+from trigsat.terms import match_literal
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -292,19 +294,39 @@ class TestInProcessEntry:
         assert capsys.readouterr().out.splitlines()[0] == "sat"
 
 
+WIDE = ("*~p(X1) | *~p(X2) | *~p(X3) | *~p(X4) | *~p(X5) "
+        "| *~r(X1, X2, X3, X4, X5)\n"
+        + "".join(f"p(c{i})\n" for i in range(1, 15)))
+
+
 class TestSearchTimeout:
     def test_timeout_holds_inside_one_instantiation_search(self, tmp_path):
-        # 14^5 matches of five triggers against fourteen facts: one search
-        # runs for seconds unless it checks the deadline itself.
+        # 14^5 matches of five triggers against fourteen facts, each then
+        # failing on the one r fact: one search runs for seconds unless it
+        # checks the deadline itself.
         path = tmp_path / "wide.p"
-        path.write_text(
-            "*~p(X1) | *~p(X2) | *~p(X3) | *~p(X4) | *~p(X5) "
-            "| *~r(X1, X2, X3, X4, X5)\n"
-            + "".join(f"p(c{i})\n" for i in range(1, 15)))
+        path.write_text(WIDE + "r(d, d, d, d, d)\n")
         proc = run_cli(["solve", str(path), "--timeout", "0.2"])
         assert proc.returncode == 0
         assert proc.stdout.splitlines() == ["unknown",
                                             "reason: timeout exceeded"]
+
+    def test_trigger_without_candidates_ends_the_search(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # No r literal is ever on the trail, so no pattern enumeration is
+        # needed; matching the p patterns first made 8.1M calls.
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return match_literal(*args)
+
+        monkeypatch.setattr(trigsat.cdcl, "match_literal", counting)
+        path = tmp_path / "wide.p"
+        path.write_text(WIDE)
+        assert main(["solve", str(path), "--timeout", "60"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "sat"
+        assert len(calls) < 100
 
 
 BAD_INPUTS = {
