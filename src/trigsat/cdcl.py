@@ -7,9 +7,10 @@ Propagate > Instantiate (per strategy) > Decide > Succeed.  Decisions
 always set an atom false.
 
 Clauses are kept sorted (per trail) in descending assignment recency:
-undefined literals first, then the most recently determined.  A literal's
-recency is the trail position of whichever polarity determined its value;
-the level of a false literal is the level of its complement's assignment.
+undefined literals first, then the most recently determined; ties keep
+clause order.  A literal's recency is the trail position of whichever
+polarity determined its value; the level of a false literal is the level
+of its complement's assignment.
 Backjump resolves the conflict clause against the reason of its newest
 falsified literal until a unique literal remains at the conflict level; a
 conflict whose newest falsified literal sits at level 0 resolves down to
@@ -28,7 +29,6 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Callable, Iterable, Optional
 
 from .ordering import (
@@ -117,33 +117,11 @@ class Trail:
         self.truncate_keep(0)
 
 
-def sort_clause(trail: Trail, c: Clause, o: OrderingSpec) -> tuple[Literal, ...]:
-    """Permutation of c in descending recency (undefined literals first),
-    tie-broken by the atom ordering, then structure, then position.  The
-    clauses of G are ground, so a total order sorts them by key."""
-    if total_on_ground(o):
-        # A stable sort, reversed or not, keeps equal items in position
-        # order, and equal keys mean the same atom.
-        return tuple(sorted(
-            c.literals, reverse=True,
-            key=lambda l: (trail.count(l), atom_order_key(o, l.atom))))
-
-    def cmp(a: tuple[int, Literal], b: tuple[int, Literal]) -> int:
-        ca, cb = trail.count(a[1]), trail.count(b[1])
-        if ca != cb:
-            return -1 if ca > cb else 1
-        by_order = compare_atoms(o, a[1].atom, b[1].atom)
-        if by_order is Comparison.GT:
-            return -1
-        if by_order is Comparison.LT:
-            return 1
-        ka, kb = atom_key(a[1].atom), atom_key(b[1].atom)
-        if ka != kb:
-            return -1 if ka > kb else 1
-        return -1 if a[0] < b[0] else (1 if a[0] > b[0] else 0)
-
-    indexed = sorted(enumerate(c.literals), key=cmp_to_key(cmp))
-    return tuple(lit for _, lit in indexed)
+def sort_clause(trail: Trail, c: Clause) -> tuple[Literal, ...]:
+    """Permutation of c in descending recency, undefined literals first.
+    Equal counts (unassigned literals, or both polarities of one atom)
+    keep their order in c."""
+    return tuple(sorted(c.literals, key=trail.count, reverse=True))
 
 
 @dataclass(frozen=True)
@@ -317,7 +295,7 @@ class Solver:
         if len(c) == 1:
             self.trail.clear()
         elif len(c) >= 2:
-            tail = sort_clause(self.trail, c, self.ordering)[1:]
+            tail = sort_clause(self.trail, c)[1:]
             if all(self.trail.value(l) is False for l in tail):
                 self.trail.truncate_keep(int(self.trail.count(tail[0])))
 
@@ -343,7 +321,7 @@ class Solver:
                 self.stats.note(
                     f"horn monitor: conflict at level {level} on {c}")
         if len(c) >= 2:
-            l1, l2 = sort_clause(self.trail, c, self.ordering)[:2]
+            l1, l2 = sort_clause(self.trail, c)[:2]
             if self.trail.level_of(l1) != self.trail.level_of(l2):
                 self.stats.note(
                     f"conflict-level monitor: two newest falsified literals "
@@ -364,7 +342,7 @@ class Solver:
             lit, = unit
             level = self.trail.level
             if len(c) >= 2:
-                second = sort_clause(self.trail, c, self.ordering)[1]
+                second = sort_clause(self.trail, c)[1]
                 if self.trail.level_of(second) != level:
                     self.stats.note(
                         f"propagation-level monitor: {c} propagates {lit} "
@@ -413,7 +391,7 @@ class Solver:
     def backjump_applicable(self) -> bool:
         if self.lc is None or self.lc.is_empty:
             return False
-        head, *rest = sort_clause(self.trail, self.lc, self.ordering)
+        head, *rest = sort_clause(self.trail, self.lc)
         if self.trail.value(head) is not False:
             return False
         entry = self.trail.entry_for(head.complement())
@@ -434,7 +412,7 @@ class Solver:
     def backjump_step(self) -> None:
         """Resolve the conflict clause with the reason of its newest literal."""
         assert self.lc is not None and not self.lc.is_empty
-        head, *rest = sort_clause(self.trail, self.lc, self.ordering)
+        head, *rest = sort_clause(self.trail, self.lc)
         flipped = head.complement()
         reason = self.trail.entry_for(flipped).reason
         assert reason is not None

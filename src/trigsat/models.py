@@ -17,15 +17,12 @@ undefined, and falsification is the refutable condition.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from .ordering import (
-    Comparison,
     OrderingSpec,
     clause_order_key,
-    compare_clauses,
-    compare_literals,
+    literal_order_key,
     total_on_ground,
 )
 from .terms import (
@@ -163,37 +160,6 @@ class ProductionRecord:
     atom: Optional[Atom] = None
 
 
-def _total_clause_sort(entries: list[tuple[Clause, frozenset[int]]],
-                       o: OrderingSpec) -> list[tuple[Clause, frozenset[int]]]:
-    """Ascending multiset sort; raises when two clauses do not compare."""
-    if total_on_ground(o):
-        return sorted(entries, key=lambda e: (clause_order_key(o, e[0]),
-                                              e[0].cid))
-
-    def cmp(x: tuple[Clause, frozenset[int]],
-            y: tuple[Clause, frozenset[int]]) -> int:
-        c = compare_clauses(o, x[0], y[0])
-        if c is Comparison.INCOMPARABLE:
-            raise ValueError("ordering not total on ground clauses")
-        if c is Comparison.EQ:
-            # Multiset-equal duplicates process first-come by identifier.
-            return x[0].cid - y[0].cid
-        return -1 if c is Comparison.LT else 1
-
-    return sorted(entries, key=cmp_to_key(cmp))
-
-
-def _largest_literal(c: Clause, o: OrderingSpec) -> Literal:
-    best = c.literals[0]
-    for lit in c.literals[1:]:
-        cmp = compare_literals(o, lit, best)
-        if cmp is Comparison.INCOMPARABLE:
-            raise ValueError("ordering not total on ground clauses")
-        if cmp is Comparison.GT:
-            best = lit
-    return best
-
-
 def produce_model(fs: list[tuple[Clause, frozenset[int]]], o: OrderingSpec
                   ) -> tuple[Interpretation, list[ProductionRecord]]:
     """Run the production construction over filtered ground clauses.
@@ -202,9 +168,12 @@ def produce_model(fs: list[tuple[Clause, frozenset[int]]], o: OrderingSpec
     from the parent non-ground clause).  A clause produces its largest
     positive literal when the partial interpretation built so far does not
     satisfy the clause, the literal is selected, and it occurs exactly once.
-    Returns the final interpretation and a per-clause record.
+    Returns the final interpretation and a per-clause record.  The order
+    must be total on ground clauses; multiset-equal ones run by cid.
     """
-    ordered = _total_clause_sort(fs, o)
+    if not total_on_ground(o):
+        raise ValueError("ordering not total on ground clauses")
+    ordered = sorted(fs, key=lambda e: (clause_order_key(o, e[0]), e[0].cid))
     produced: list[Literal] = []
     true_atoms: set[Atom] = set()
     universe: list[Literal] = []
@@ -217,7 +186,7 @@ def produce_model(fs: list[tuple[Clause, frozenset[int]]], o: OrderingSpec
                              for lit in c.literals):
             records.append(ProductionRecord(c, False))
             continue
-        top = _largest_literal(c, o)
+        top = max(c.literals, key=lambda l: literal_order_key(o, l))
         occurrences = [i for i, l in enumerate(c.literals) if l == top]
         if (top.positive and len(occurrences) == 1
                 and occurrences[0] in sel):

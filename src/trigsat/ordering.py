@@ -25,8 +25,9 @@ strictly greater clause-mate" so partial orders need no totalization.
 
 Where an ordering is total on ground atoms (`total_on_ground`: the weight
 order), ground atoms, literals and clauses also have sort keys that
-compare as the comparisons here do, so that a minimum or a sort over
-them costs one key each instead of pairwise comparisons.
+compare as the comparisons here do.  They serve the CDCL decide heap and
+model production, so that a minimum or a sort costs one key each instead
+of pairwise comparisons.
 """
 
 from __future__ import annotations

@@ -269,6 +269,11 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
         if time.monotonic() - started > budget.timeout:
             return SaturationReport(SaturationOutcome.BUDGET_EXCEEDED,
                                     active + passive, selection, counts)
+        # A clause never returns to the passive list once it leaves, so
+        # the memo keeps only pairs of clauses still in it.
+        live = {p.cid for p in passive}
+        compared = {k: v for k, v in compared.items()
+                    if k[0] in live and k[1] in live}
         given = _pick_given(passive, o, compared)
         passive = [p for p in passive if p is not given]
         if is_tautology(given):

@@ -366,10 +366,12 @@ def ref_compare_clauses(o, weights: dict, c1: Clause,
 
 # -- reference decide choice and clause sort -----------------------------
 #
-# `Solver.decide`'s choice and `sort_clause` as written before ground
-# atoms had order keys: a scan for the minimum in `atom_key` order, and a
-# sort through `cmp_to_key`.  Here they compare with `ref_compare_atoms`
-# and `ref_term_key`, so they share no ordering code with the solver.
+# `Solver.decide`'s choice as written before ground atoms had order keys,
+# a scan for the minimum in `atom_key` order, and `sort_clause` as
+# written before it read recency alone, a sort through `cmp_to_key` that
+# broke recency ties by the atom order.  Here they compare with
+# `ref_compare_atoms` and `ref_term_key`, so they share no ordering code
+# with the solver.
 
 def _ref_atom_key(a: Atom) -> tuple:
     return (a.pred, tuple(ref_term_key(t) for t in a.args))
@@ -387,7 +389,8 @@ def ref_decide_choice(o, atoms: list[Atom]) -> Atom:
 
 
 def ref_sort_clause(count, c: Clause, o) -> tuple:
-    """Reference for `trigsat.cdcl.sort_clause`; `count` is the trail's
+    """Reference for `trigsat.cdcl.sort_clause` where the rules read it:
+    when at most one atom of c is unassigned.  `count` is the trail's
     recency of a literal (`Trail.count`)."""
     weights = dict(o.weights)
 

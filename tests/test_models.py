@@ -183,6 +183,14 @@ class TestProduceModel:
             if r.produced:
                 assert model.value(Literal(r.atom)) is True
 
+    @pytest.mark.parametrize("entries", [
+        [], [(clause([p(a)]), frozenset({0}))]])
+    def test_refuses_an_order_not_total_on_ground_clauses(self, entries):
+        # Checked up front: the subterm order refuses even inputs whose
+        # clauses happen to compare.
+        with pytest.raises(ValueError, match="not total on ground clauses"):
+            produce_model(entries, OrderingSpec(kind="subterm"))
+
 
 @st.composite
 def production_inputs(draw):

@@ -522,6 +522,35 @@ class TestPinnedCorpusCounts:
         assert check.violations == []
         assert check.counts == {"inferences": 235}
 
+    def test_pick_memo_holds_only_passive_pairs(self):
+        # Pairs whose clauses left the passive list are never read again.
+        from unittest import mock
+
+        import trigsat.saturation
+        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.pipeline import SolveOptions, solve_problem
+        from trigsat.saturation import InferenceBudget
+
+        sizes = []
+
+        def checked(passive, o, memo):
+            live = {c.cid for c in passive}
+            assert all(x in live and y in live for x, y in memo)
+            given = _pick_given(passive, o, memo)
+            assert all(x in live and y in live for x, y in memo)
+            sizes.append(len(memo))
+            return given
+
+        options = SolveOptions(
+            select="maximal", ordering=corpus_ordering("subsumption"),
+            allow_unsaturated=True,
+            saturation_budget=InferenceBudget(max_clauses=600))
+        with mock.patch.object(trigsat.saturation, "_pick_given", checked):
+            report = solve_problem(load_corpus("subsumption"),
+                                   options).saturation
+        assert report.outcome is SaturationOutcome.BUDGET_EXCEEDED
+        assert len(sizes) == 47 and max(sizes) > 0
+
 
 PICK_STEPS = st.lists(st.tuples(
     st.sampled_from(("pick", "remove", "append", "twin")),
