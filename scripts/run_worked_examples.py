@@ -9,7 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from trigsat.cdcl import Budgets
+from trigsat.cdcl import Budget
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
 from trigsat.pipeline import ContractError, SolveOptions, solve_problem
@@ -28,7 +28,7 @@ RUNS = [
                                         precedence=("r", "q", "p"),
                                         precedence_dominant=True))),
     ("problems/allneg_divergent.p",
-     SolveOptions(trace=True, budgets=Budgets(max_instantiations=12))),
+     SolveOptions(trace=True, budget=Budget(max_instantiations=12))),
 ]
 
 

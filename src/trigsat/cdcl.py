@@ -21,6 +21,9 @@ literals all have their complements on the trail (one trail literal may
 witness several selected literals); the trail then rewinds exactly as for
 a learned clause.  Lazy mode instantiates only once every atom is
 assigned; eager mode tries after every propagation fixpoint.
+
+Each cap of a `Budget`, and its deadline, raises `BudgetExceeded` where it
+is spent, inside the instantiation search too; `run` catches it once.
 """
 
 from __future__ import annotations
@@ -125,11 +128,21 @@ def sort_clause(trail: Trail, c: Clause) -> tuple[Literal, ...]:
 
 
 @dataclass(frozen=True)
-class Budgets:
+class Budget:
+    """The caps of one command.  Saturation and search share `timeout`,
+    from a deadline in `time.monotonic()` seconds that the caller fixes;
+    without one, from the call to `saturate` or the Solver's creation."""
     max_instantiations: int = 50_000
-    max_conflicts: int = 200_000
-    max_clauses: int = 200_000
+    max_clauses: int = 200_000  # clauses of G
+    max_saturation_clauses: int = 10_000  # clauses saturation retains
     timeout: float = 120.0
+
+
+class BudgetExceeded(Exception):
+    """A cap or the deadline ran out; the argument says which."""
+
+
+MAX_CONFLICTS = 200_000
 
 
 @dataclass
@@ -206,10 +219,6 @@ class _DecideHeap:
         return heap[0][1] if heap else None
 
 
-class _Timeout(Exception):
-    """The run's deadline passed inside an instantiation search."""
-
-
 class Solver:
     """One CDCL run; owns its state exclusively."""
 
@@ -218,7 +227,8 @@ class Solver:
                  selection: dict[int, frozenset[int]],
                  ordering: OrderingSpec,
                  instantiate_mode: str = "lazy",
-                 budgets: Budgets = Budgets(),
+                 budget: Budget = Budget(),
+                 deadline: Optional[float] = None,
                  trace: bool = False,
                  horn_monitor: bool = False,
                  twosat_monitor: bool = False) -> None:
@@ -226,7 +236,9 @@ class Solver:
             raise ValueError(f"unknown instantiation mode: {instantiate_mode!r}")
         self.ordering = ordering
         self.mode = instantiate_mode
-        self.budgets = budgets
+        self.budget = budget
+        self._deadline = (time.monotonic() + budget.timeout
+                          if deadline is None else deadline)
         # The atoms of G in first-seen order; G only grows.
         self._atoms: dict[Atom, None] = {}
         # Decide reads a heap under a total order; the subterm order scans.
@@ -250,7 +262,6 @@ class Solver:
                         for p in sorted(selection[c.cid])]
             keys = [_candidate_key(p) for p in patterns]
             self._triggers.append((c, patterns, keys))
-        self._deadline = math.inf  # run() sets it from budgets.timeout
         for c in ground:
             self._add_ground(c)
 
@@ -451,21 +462,16 @@ class Solver:
         """Add one new ground instance whose selected literals all have
         their complements on the trail; rewind like Learn if falsified.
 
-        Returns "added", "none", "budget" or "timeout".  The budget outcome
-        fires only when a new instance exists: Succeed would be unsound
-        with an applicable Instantiate, so the run must stop instead.  The
-        timeout outcome fires when the deadline `run` sets passes during
-        the search.
+        Returns "added" or "none".  A spent instantiation budget raises
+        BudgetExceeded only when a new instance exists: Succeed would be
+        unsound with an applicable Instantiate.
         """
         assert self.lc is None
-        try:
-            found = self._find_new_instance()
-        except _Timeout:
-            return "timeout"
+        found = self._find_new_instance()
         if found is None:
             return "none"
-        if self.stats.instantiations >= self.budgets.max_instantiations:
-            return "budget"
+        if self.stats.instantiations >= self.budget.max_instantiations:
+            raise BudgetExceeded("instantiation budget exceeded")
         parent, theta, instance = found
         added = self._add_ground(instance)  # duplicate-literal-merged form
         self.stats.instantiations += 1
@@ -516,7 +522,7 @@ class Solver:
         frames = [({}, iter(lists[0]))]
         while frames:
             if time.monotonic() > self._deadline:
-                raise _Timeout
+                raise BudgetExceeded("timeout exceeded")
             bindings, todo = frames[-1]
             if len(frames) <= len(patterns):
                 pattern = patterns[len(frames) - 1]
@@ -554,44 +560,36 @@ class Solver:
 
     def run(self) -> RunResult:
         started = time.monotonic()
-        self._deadline = started + self.budgets.timeout
 
         def finish(verdict: Verdict, line: str) -> RunResult:
             self.stats.wall_time = time.monotonic() - started
             self._emit("{}", line)
             return RunResult(verdict, self.stats, self.trace, self.ground)
 
-        while True:
-            if time.monotonic() > self._deadline:
-                reason = "timeout exceeded"
-            elif self.stats.conflicts > self.budgets.max_conflicts:
-                reason = "conflict budget exceeded"
-            elif len(self.ground) > self.budgets.max_clauses:
-                reason = "clause budget exceeded"
-            elif self.lc is not None:
-                if self.lc.is_empty:
-                    return finish(Verdict("unsat"), "fail")
-                if self.backjump_applicable():
-                    self.backjump_step()
-                else:
-                    self.learn()
-                continue
-            elif (self.find_conflict() or self.propagate()
-                  or (self.mode == "lazy"
-                      and self.decide(_guard_checked=True))):
-                continue
-            else:
-                # Lazy mode has decided every atom by now; eager mode
-                # decides only when no new instance exists.
-                step = self.instantiate_step()
-                if step == "added" or (
-                        step == "none" and self.mode == "eager"
-                        and self.decide(_guard_checked=True)):
-                    continue
-                if step == "none":
+        try:
+            while True:
+                if time.monotonic() > self._deadline:
+                    raise BudgetExceeded("timeout exceeded")
+                if self.stats.conflicts > MAX_CONFLICTS:
+                    raise BudgetExceeded("conflict budget exceeded")
+                if len(self.ground) > self.budget.max_clauses:
+                    raise BudgetExceeded("clause budget exceeded")
+                if self.lc is not None:
+                    if self.lc.is_empty:
+                        return finish(Verdict("unsat"), "fail")
+                    if self.backjump_applicable():
+                        self.backjump_step()
+                    else:
+                        self.learn()
+                # Lazy mode has decided every atom before it instantiates;
+                # eager mode decides only when no new instance exists.
+                elif not (self.find_conflict() or self.propagate()
+                          or (self.mode == "lazy"
+                              and self.decide(_guard_checked=True))
+                          or self.instantiate_step() == "added"
+                          or (self.mode == "eager"
+                              and self.decide(_guard_checked=True))):
                     return finish(Verdict("sat", tuple(self.trail.literals())),
                                   "succeed")
-                reason = ("timeout exceeded" if step == "timeout"
-                          else "instantiation budget exceeded")
-            return finish(Verdict("unknown", (), reason),
-                          f"unknown ({reason})")
+        except BudgetExceeded as exc:
+            return finish(Verdict("unknown", (), str(exc)), f"unknown ({exc})")

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .cdcl import Budgets
+from .cdcl import Budget
 from .ordering import OrderingSpec
 from .parser import (
     ParseError,
@@ -29,11 +29,11 @@ from .pipeline import (
     ContractError,
     SolveOptions,
     check_problem_saturated,
-    check_problem_selection,
+    clause_selection,
     solve_problem,
     verify_model,
 )
-from .saturation import InferenceBudget, SaturationOutcome
+from .saturation import SaturationOutcome
 
 
 class UsageError(Exception):
@@ -108,13 +108,14 @@ def build_parser() -> _Parser:
     solve.add_argument("--instantiate", choices=("lazy", "eager"),
                        default="lazy")
     solve.add_argument("--max-instantiations", type=_non_negative(int),
-                       default=50_000)
+                       default=Budget.max_instantiations)
     solve.add_argument("--max-clauses", type=_non_negative(int), default=None,
                        help="clause cap (default 200000 solving, "
                             "10000 saturation)")
-    solve.add_argument("--timeout", type=_non_negative(float), default=None,
-                       help="wall-clock cap in seconds (default 120 "
-                            "solving, 60 saturation)")
+    solve.add_argument("--timeout", type=_non_negative(float),
+                       default=Budget.timeout,
+                       help="wall-clock cap in seconds on saturation and "
+                            "search together (default 120)")
     solve.add_argument("--allow-unsaturated", action="store_true")
     solve.add_argument("--trace", action="store_true",
                        help="print one line per rule application to stderr "
@@ -152,25 +153,19 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    max_clauses = getattr(args, "max_clauses", None)
-    timeout = getattr(args, "timeout", None)
-    budgets = Budgets(
-        max_instantiations=getattr(args, "max_instantiations", 50_000),
-        max_clauses=max_clauses if max_clauses is not None else 200_000,
-        timeout=timeout if timeout is not None else 120.0,
-    )
-    saturation_budget = InferenceBudget(
-        max_clauses=max_clauses if max_clauses is not None else 10_000,
-        timeout=timeout if timeout is not None else 60.0,
-    )
+    clauses = getattr(args, "max_clauses", None)
+    caps = ({} if clauses is None else
+            {"max_clauses": clauses, "max_saturation_clauses": clauses})
+    budget = Budget(max_instantiations=getattr(args, "max_instantiations",
+                                               Budget.max_instantiations),
+                    timeout=getattr(args, "timeout", Budget.timeout), **caps)
     return SolveOptions(
         ordering=ordering,
         select=args.select,
         extend_select=args.extend_select,
         instantiate=getattr(args, "instantiate", "lazy"),
         allow_unsaturated=getattr(args, "allow_unsaturated", False),
-        budgets=budgets,
-        saturation_budget=saturation_budget,
+        budget=budget,
         trace=getattr(args, "trace", False),
     )
 
@@ -219,7 +214,8 @@ def _cmd_check_selection(args: argparse.Namespace) -> int:
     problem = _read_problem(args.file)
     options = _options_from(args)
     bad = 0
-    for c, result in check_problem_selection(problem, options):
+    for c in problem.theory:
+        result = clause_selection(problem, options, c)[1]
         if result:
             print(f"valid: {format_clause(c)}")
         else:

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cdcl import Budgets, RunResult, Solver
+from .cdcl import Budget, RunResult, Solver
 from .models import (
     Interpretation,
     VerifyReport,
@@ -27,13 +27,13 @@ from .models import (
 from .ordering import OrderingSpec
 from .parser import Problem
 from .saturation import (
-    InferenceBudget,
     SaturationOutcome,
     SaturationReport,
     check_saturated,
     saturate,
 )
 from .selection import (
+    CheckedSelection,
     SelectionError,
     ValidationResult,
     auto_select,
@@ -54,8 +54,7 @@ class SolveOptions:
     # otherwise the active auto strategy
     instantiate: str = "lazy"
     allow_unsaturated: bool = False
-    budgets: Budgets = Budgets()
-    saturation_budget: InferenceBudget = InferenceBudget()
+    budget: Budget = Budget()
     trace: bool = False
 
     def resolved_extend(self) -> str:
@@ -86,7 +85,7 @@ def clause_selection(problem: Problem, options: SolveOptions, c: Clause
     if options.select != "annotated":
         try:
             sel = auto_select(c, o, options.select)
-        except (SelectionError, ValueError) as exc:  # ValueError: over the cap
+        except SelectionError as exc:
             return frozenset(), ValidationResult(False, None, str(exc))
     elif c.cid in problem.selection:
         sel = problem.selection[c.cid]
@@ -98,9 +97,9 @@ def clause_selection(problem: Problem, options: SolveOptions, c: Clause
 
 
 def build_selection(problem: Problem,
-                    options: SolveOptions) -> dict[int, frozenset[int]]:
+                    options: SolveOptions) -> CheckedSelection:
     """Selection for every theory clause, validated under the ordering."""
-    out: dict[int, frozenset[int]] = {}
+    out = CheckedSelection()
     for c in problem.theory:
         out[c.cid], result = clause_selection(problem, options, c)
         if not result:
@@ -109,16 +108,9 @@ def build_selection(problem: Problem,
     return out
 
 
-def check_problem_selection(problem: Problem, options: SolveOptions
-                            ) -> list[tuple[Clause, ValidationResult]]:
-    """Every theory clause with the validation of its selection."""
-    return [(c, clause_selection(problem, options, c)[1])
-            for c in problem.theory]
-
-
-def prepare_theory(problem: Problem,
-                   options: SolveOptions) -> SaturationReport:
-    """Selection, saturation and the budget gate.
+def prepare_theory(problem: Problem, options: SolveOptions,
+                   deadline: float) -> SaturationReport:
+    """Selection, saturation until `deadline` and the budget gate.
 
     Both a sat certificate and a candidate model rest on the saturated
     theory under its selection, so `solve` and `verify-model` share this.
@@ -126,8 +118,9 @@ def prepare_theory(problem: Problem,
     selection = build_selection(problem, options)
     try:
         report = saturate(problem.theory, selection, options.ordering,
-                          budget=options.saturation_budget,
-                          extend=options.resolved_extend())
+                          budget=options.budget,
+                          extend=options.resolved_extend(),
+                          deadline=deadline)
     except SelectionError as exc:
         raise ContractError(
             f"theory not saturated: saturation derived a clause the "
@@ -142,7 +135,8 @@ def prepare_theory(problem: Problem,
 
 
 def solve_problem(problem: Problem, options: SolveOptions) -> SolveResult:
-    report = prepare_theory(problem, options)
+    deadline = time.monotonic() + options.budget.timeout
+    report = prepare_theory(problem, options, deadline)
     result = SolveResult("unknown", saturation=report)
     if report.outcome is SaturationOutcome.DERIVED_BOTTOM:
         # The theory alone is contradictory; no ground part can rescue it.
@@ -161,7 +155,8 @@ def solve_problem(problem: Problem, options: SolveOptions) -> SolveResult:
         selection=report.selection,
         ordering=options.ordering,
         instantiate_mode=options.instantiate,
-        budgets=options.budgets,
+        budget=options.budget,
+        deadline=deadline,
         trace=options.trace,
     )
     run = solver.run()
@@ -190,7 +185,8 @@ def verify_model(problem: Problem, model_literals: list[Literal],
         raise ContractError("cannot build the candidate model: the subterm "
                             "ordering is not total on ground clauses (use "
                             "--order weight)")
-    saturation = prepare_theory(problem, options)
+    saturation = prepare_theory(
+        problem, options, time.monotonic() + options.budget.timeout)
     if saturation.outcome is SaturationOutcome.DERIVED_BOTTOM:
         raise ContractError("theory unsatisfiable: saturation derived the "
                             "empty clause, so no model can be verified")

@@ -9,18 +9,24 @@ substitution maps C onto a sub-multiset of D.
 
 Both entry points work on the non-ground part of a problem only; ground
 clauses take no part in these inferences.
+
+`saturate` checks its `Budget` once per given clause, and the deadline
+also inside subsumption, which is NP-complete.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
 from typing import Iterable, Optional
 
+from .cdcl import Budget, BudgetExceeded
 from .ordering import Comparison, OrderingSpec, compare_clauses
-from .selection import ValidationResult, check_selection, extend_selection
+from .selection import (CheckedSelection, ValidationResult, check_selection,
+                        extend_selection)
 from .terms import (
     Clause,
     canonicalize,
@@ -54,18 +60,8 @@ class SaturationReport:
     violations: list[Violation] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class InferenceBudget:
-    max_clauses: int = 10_000
-    timeout: float = 60.0
-
-
 class InvalidSelectionError(Exception):
-    def __init__(self, c: Clause, result: ValidationResult):
-        self.clause = c
-        self.result = result
-        super().__init__(
-            f"invalid selection for clause '{c}': {result.describe()}")
+    """An input clause has no valid selection."""
 
 
 def is_tautology(c: Clause) -> bool:
@@ -74,8 +70,9 @@ def is_tautology(c: Clause) -> bool:
     return bool(pos & neg)
 
 
-def subsumes(c: Clause, d: Clause) -> bool:
-    """True iff some substitution maps c onto a sub-multiset of d."""
+def subsumes(c: Clause, d: Clause, deadline: float = math.inf) -> bool:
+    """True iff some substitution maps c onto a sub-multiset of d.  Raises
+    BudgetExceeded once `time.monotonic()` passes `deadline`."""
     (c_size, c_counts), (d_size, d_counts) = c.features, d.features
     if c_size > d_size or any(d_counts.get(k, 0) < n
                               for k, n in c_counts.items()):
@@ -97,6 +94,8 @@ def subsumes(c: Clause, d: Clause) -> bool:
     frames = [candidates(lits[0], {})]
     chosen: list[int] = []
     while frames:
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("timeout exceeded")
         if len(chosen) == len(frames):
             used[chosen.pop()] = False
         j, nxt = next(frames[-1], (None, None))
@@ -177,16 +176,19 @@ def _validate_all(clauses: Iterable[Clause],
                   selection: dict[int, frozenset[int]], o: OrderingSpec
                   ) -> dict[int, tuple[list[int], list[int]]]:
     """Raise on a clause without a valid selection; otherwise return each
-    clause's selected positions by polarity, as `inferences` takes them."""
+    clause's selected positions by polarity, as `inferences` takes them.
+    A CheckedSelection is not checked again."""
+    checked = isinstance(selection, CheckedSelection)
     sides = {}
     for c in clauses:
         if c.is_ground:
             raise ValueError(f"ground clause '{c}' in non-ground set")
-        result = (check_selection(c, selection[c.cid], o)
-                  if c.cid in selection else
-                  ValidationResult(False, None, "clause has no selection"))
+        result = (ValidationResult(False, None, "clause has no selection")
+                  if c.cid not in selection else
+                  checked or check_selection(c, selection[c.cid], o))
         if not result:
-            raise InvalidSelectionError(c, result)
+            raise InvalidSelectionError(
+                f"invalid selection for clause '{c}': {result.describe()}")
         sides[c.cid] = _by_polarity(c, selection[c.cid])
     return sides
 
@@ -236,94 +238,95 @@ def _pick_given(passive: list[Clause], o: OrderingSpec,
 
 
 def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
-             o: OrderingSpec, budget: InferenceBudget = InferenceBudget(),
-             extend: str = "error") -> SaturationReport:
+             o: OrderingSpec, budget: Budget = Budget(),
+             extend: str = "error",
+             deadline: Optional[float] = None) -> SaturationReport:
     """Given-clause saturation with tautology and subsumption deletion.
 
     Derived clauses get a selection via `extend` (see selection module);
     in `error` mode any retained conclusion aborts with SelectionError.
+    A spent budget ends it with a BUDGET_EXCEEDED report of every retained
+    clause, the given one included.
     """
     inputs = list(ng)
     selection = dict(sel)
-    sides = _validate_all(inputs, selection, o)
+    sides = _validate_all(inputs, sel, o)
     counts = {"resolvents": 0, "factors": 0, "kept": 0, "tautologies": 0,
               "forward_subsumed": 0, "backward_subsumed": 0}
-    started = time.monotonic()
+    if deadline is None:
+        deadline = time.monotonic() + budget.timeout
 
+    # `given` leaves `passive` only when it is dropped or joins `active`.
     active: list[Clause] = []
     passive: list[Clause] = list(inputs)
     compared: dict[tuple[int, int], Comparison] = {}
-
-    def retained_count() -> int:
-        return len(active) + len(passive)
-
-    def bottom_report() -> SaturationReport:
-        bott = Clause((), origin="resolvent")
-        return SaturationReport(SaturationOutcome.DERIVED_BOTTOM,
-                                active + passive + [bott], selection, counts)
-
-    while passive:
-        if retained_count() > budget.max_clauses:
-            return SaturationReport(SaturationOutcome.BUDGET_EXCEEDED,
-                                    active + passive, selection, counts)
-        if time.monotonic() - started > budget.timeout:
-            return SaturationReport(SaturationOutcome.BUDGET_EXCEEDED,
-                                    active + passive, selection, counts)
-        # A clause never returns to the passive list once it leaves, so
-        # the memo keeps only pairs of clauses still in it.
-        live = {p.cid for p in passive}
-        compared = {k: v for k, v in compared.items()
-                    if k[0] in live and k[1] in live}
-        given = _pick_given(passive, o, compared)
-        passive = [p for p in passive if p is not given]
-        if is_tautology(given):
-            counts["tautologies"] += 1
-            continue
-        if any(subsumes(a, given) for a in active):
-            counts["forward_subsumed"] += 1
-            continue
-        removed = [a for a in active if subsumes(given, a)]
-        counts["backward_subsumed"] += len(removed)
-        active = [a for a in active if a not in removed]
-        kept_passive = [p for p in passive if not subsumes(given, p)]
-        counts["backward_subsumed"] += len(passive) - len(kept_passive)
-        passive = kept_passive
-        active.append(given)
-        counts["kept"] += 1
-
-        conclusions: list[Clause] = []
-        if not given.is_ground:
-            # Ground clauses are retained but generate no inferences.
-            for other in active:
-                if other is given:
-                    found = inferences(sides, given, given)
-                elif other.is_ground:
-                    continue
-                else:
-                    found = chain(inferences(sides, given, other),
-                                  inferences(sides, other, given,
-                                             negative_outer=True))
-                for _, _, r in found:
-                    counts["resolvents"] += 1
-                    conclusions.append(r)
-            for _, _, f in inferences(sides, given):
-                counts["factors"] += 1
-                conclusions.append(f)
-
-        for concl in conclusions:
-            if concl.is_empty:
-                return bottom_report()
-            if is_tautology(concl):
+    try:
+        while passive:
+            if len(active) + len(passive) > budget.max_saturation_clauses:
+                raise BudgetExceeded("clause budget exceeded")
+            if time.monotonic() > deadline:
+                raise BudgetExceeded("timeout exceeded")
+            # A clause never returns to the passive list once it leaves, so
+            # the memo keeps only pairs of clauses still in it.
+            live = {p.cid for p in passive}
+            compared = {k: v for k, v in compared.items()
+                        if k[0] in live and k[1] in live}
+            given = _pick_given(passive, o, compared)
+            rest = [p for p in passive if p is not given]
+            if is_tautology(given):
                 counts["tautologies"] += 1
+                passive = rest
                 continue
-            if any(subsumes(a, concl) for a in chain(active, passive)):
+            if any(subsumes(a, given, deadline) for a in active):
                 counts["forward_subsumed"] += 1
+                passive = rest
                 continue
-            if not concl.is_ground:
-                selection[concl.cid] = extend_selection(concl, o, extend)
-                sides[concl.cid] = _by_polarity(concl, selection[concl.cid])
-            passive.append(concl)
+            removed = [a for a in active if subsumes(given, a, deadline)]
+            kept = [p for p in rest if not subsumes(given, p, deadline)]
+            counts["backward_subsumed"] += len(removed) + len(rest) - len(kept)
+            active = [a for a in active if a not in removed] + [given]
+            passive = kept
+            counts["kept"] += 1
 
+            conclusions: list[Clause] = []
+            if not given.is_ground:
+                # Ground clauses are retained but generate no inferences.
+                for other in active:
+                    if other is given:
+                        found = inferences(sides, given, given)
+                    elif other.is_ground:
+                        continue
+                    else:
+                        found = chain(inferences(sides, given, other),
+                                      inferences(sides, other, given,
+                                                 negative_outer=True))
+                    for _, _, r in found:
+                        counts["resolvents"] += 1
+                        conclusions.append(r)
+                for _, _, f in inferences(sides, given):
+                    counts["factors"] += 1
+                    conclusions.append(f)
+
+            for concl in conclusions:
+                if concl.is_empty:
+                    return SaturationReport(SaturationOutcome.DERIVED_BOTTOM,
+                                            active + passive + [concl],
+                                            selection, counts)
+                if is_tautology(concl):
+                    counts["tautologies"] += 1
+                    continue
+                if any(subsumes(a, concl, deadline)
+                       for a in chain(active, passive)):
+                    counts["forward_subsumed"] += 1
+                    continue
+                if not concl.is_ground:
+                    selection[concl.cid] = extend_selection(concl, o, extend)
+                    sides[concl.cid] = _by_polarity(concl,
+                                                    selection[concl.cid])
+                passive.append(concl)
+    except BudgetExceeded:
+        return SaturationReport(SaturationOutcome.BUDGET_EXCEEDED,
+                                active + passive, selection, counts)
     return SaturationReport(SaturationOutcome.SATURATED, list(active),
                             selection, counts)
 
@@ -334,12 +337,9 @@ def check_saturated(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
     conclusion that is neither a tautology nor subsumed in the set."""
     clauses = list(ng)
     selection = dict(sel)
-    sides = _validate_all(clauses, selection, o)
+    sides = _validate_all(clauses, sel, o)
     counts = {"inferences": 0}
     violations: list[Violation] = []
-
-    def redundant(concl: Clause) -> bool:
-        return is_tautology(concl) or any(subsumes(c, concl) for c in clauses)
 
     enumerated = chain(
         (i for c1 in clauses for c2 in clauses
@@ -347,7 +347,8 @@ def check_saturated(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
         (i for c in clauses for i in inferences(sides, c)))
     for kind, premises, concl in enumerated:
         counts["inferences"] += 1
-        if not redundant(concl):
+        if not (is_tautology(concl)
+                or any(subsumes(c, concl) for c in clauses)):
             violations.append(Violation(kind, premises, concl))
 
     outcome = (SaturationOutcome.SATURATED if not violations

@@ -113,6 +113,11 @@ def check_selection(c: Clause, sel: Iterable[int],
         return ValidationResult(False, None, str(exc))
 
 
+class CheckedSelection(dict):
+    """Selections by clause id, each passed by `check_selection` under the
+    ordering they are saturated with, so saturation does not check them."""
+
+
 def _coverage_or_raise(c: Clause, positions: set[int], what: str) -> None:
     missing = vars_of(c) - _positions_vars(c, positions)
     if missing:
@@ -143,11 +148,11 @@ def auto_select(c: Clause, o: OrderingSpec, strategy: str) -> frozenset[int]:
         values = set(maximal_literals(o, c))
         positions = {i for i, l in enumerate(c.literals) if l in values}
         _coverage_or_raise(c, positions, "the maximal literals")
-        result = validate_selection(c, positions, o)
+        result = check_selection(c, positions, o)
         if not result:
             raise SelectionError(
-                c, "maximal-literal selection fails the subset condition "
-                   f"(witness positions {sorted(result.witness or ())})")
+                c, "maximal-literal selection is not valid: "
+                   f"{result.describe()}")
         return frozenset(positions)
     if strategy == "neg":
         positions = {i for i, l in enumerate(c.literals) if not l.positive}

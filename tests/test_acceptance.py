@@ -11,7 +11,7 @@ import functools
 import random
 import time
 
-from trigsat.cdcl import Budgets, Solver
+from trigsat.cdcl import Budget, Solver
 from trigsat.corpus import (
     corpus_ordering,
     load_corpus,
@@ -286,7 +286,7 @@ def test_criterion_08_divergence_guard():
     problem = parse_problem("*~p(X1, Y1) | q(f(X1), Y1)\n"
                             "*~q(X2, Y2) | p(X2, f(Y2))\n"
                             "p(a, a)\n")
-    options = SolveOptions(budgets=Budgets(max_instantiations=200))
+    options = SolveOptions(budget=Budget(max_instantiations=200))
     result = solve_problem(problem, options)
     assert result.verdict_line == "unknown"
     assert "instantiation budget" in result.run.verdict.reason

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import time
 import weakref
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigsat.cdcl
-from trigsat.cdcl import Budgets, Solver, Trail, sort_clause
+from trigsat.cdcl import Budget, Solver, Trail, Verdict, sort_clause
 from trigsat.models import ProductionRecord, produce_model
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
@@ -425,7 +426,7 @@ class TestWorkedRuns:
                 "~q(X2, Y2) | *p(X2, f(Y2))\n"
                 "~p(f(a), f(b))\n")
         result = self.run_text(
-            text, budgets=Budgets(max_instantiations=2))
+            text, budget=Budget(max_instantiations=2))
         assert result.verdict_line == "sat"
         assert result.run.stats.instantiations == 2
 
@@ -434,9 +435,16 @@ class TestWorkedRuns:
                 "*~q(X2, Y2) | p(X2, f(Y2))\n"
                 "p(a, a)\n")
         result = self.run_text(
-            text, budgets=Budgets(max_instantiations=40))
+            text, budget=Budget(max_instantiations=40))
         assert result.verdict_line == "unknown"
         assert "instantiation budget" in result.run.verdict.reason
+
+    def test_past_deadline_answers_unknown(self):
+        s = solver_for([clause([prop("a")])], trace=True,
+                       deadline=time.monotonic() - 1)
+        result = s.run()
+        assert result.verdict == Verdict("unknown", (), "timeout exceeded")
+        assert result.trace == ["unknown (timeout exceeded)"]
 
     def test_eager_mode_reaches_the_same_verdicts(self):
         chain = ("~p(X1, Y1) | *q(f(X1), Y1)\n"

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +328,65 @@ class TestSearchTimeout:
         assert main(["solve", str(path), "--timeout", "60"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "sat"
         assert len(calls) < 100
+
+
+# An 8-cycle of selected p literals, and the 435 edges of a complete DAG
+# on 30 constants in one clause: backward subsumption of the DAG clause by
+# the cycle clause is one match that runs for minutes.
+CYCLE_AND_DAG = (
+    " | ".join(f"*~p(X{i}, X{i % 8 + 1})" for i in range(1, 9)) + "\n"
+    + " | ".join(f"~p(a{i}, a{j})" for i in range(30)
+                 for j in range(i + 1, 30)) + " | *~q(Y)\n")
+
+
+class TestOneDeadline:
+    # --timeout bounds saturation and search together, also inside one
+    # subsumption.  The 1.5 s include the interpreter's start; a run that
+    # ignores the deadline is killed after 10 s.
+    @pytest.mark.parametrize("waiver, code, out", [
+        ([], 2, []),
+        (["--allow-unsaturated"], 0, ["unknown", "reason: timeout exceeded"]),
+    ])
+    def test_timeout_holds_inside_subsumption(self, tmp_path, waiver, code,
+                                              out):
+        path = tmp_path / "cycle_dag.p"
+        path.write_text(CYCLE_AND_DAG)
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "trigsat", "solve", str(path),
+             "--timeout", "0.5", *waiver],
+            capture_output=True, text=True, cwd=ROOT, timeout=10)
+        elapsed = time.monotonic() - started
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines() == out
+        if code == 2:
+            assert "saturation budget exceeded" in proc.stderr
+        assert elapsed < 1.5
+
+
+# Resolving the two clauses derives p(Y0) | ... | p(Y8): nine maximal
+# literals, one over the selection cap.
+NINE_MAXIMAL = (
+    "*~s(" + ",".join(f"X{i}" for i in range(9)) + ") | "
+    + " | ".join(f"p(X{i})" for i in range(9)) + "\n"
+    "*s(" + ",".join(f"Y{i}" for i in range(9)) + ")\n")
+
+
+class TestOversizedMaximalSelection:
+    def test_auto_extension_moves_past_maximal(self, tmp_path, capsys):
+        path = tmp_path / "nine.p"
+        path.write_text(NINE_MAXIMAL)
+        assert main(["solve", str(path), "--extend-select", "auto"]) == 0
+        assert capsys.readouterr().out.splitlines() == ["sat"]
+
+    def test_maximal_extension_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "nine.p"
+        path.write_text(NINE_MAXIMAL)
+        assert main(["solve", str(path), "--extend-select", "maximal"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theory not saturated")
+        assert "exceeds the cap of 8" in err
 
 
 BAD_INPUTS = {

@@ -10,7 +10,7 @@ truth table); a bounded-unsat grounding would refute the certificate.
 import itertools
 import random
 
-from trigsat.cdcl import Budgets
+from trigsat.cdcl import Budget
 from trigsat.parser import Problem
 from trigsat.pipeline import SolveOptions, solve_problem
 from trigsat.saturation import subsumes
@@ -97,7 +97,7 @@ class TestCertifiedSatAgainstBoundedGrounding:
                 for c in theory}
             problem.signature = Signature.from_clauses(theory + facts)
             options = SolveOptions(
-                budgets=Budgets(max_instantiations=60, timeout=10.0))
+                budget=Budget(max_instantiations=60, timeout=10.0))
             result = solve_problem(problem, options)
             if result.verdict_line != "sat":
                 continue
@@ -124,7 +124,7 @@ class TestCertifiedSatAgainstBoundedGrounding:
                 for c in theory}
             problem.signature = Signature.from_clauses(theory + facts)
             options = SolveOptions(
-                budgets=Budgets(max_instantiations=60, timeout=10.0))
+                budget=Budget(max_instantiations=60, timeout=10.0))
             result = solve_problem(problem, options)
             if result.verdict_line != "sat":
                 continue

@@ -2,6 +2,7 @@
 
 import pytest
 
+from trigsat.cdcl import Budget
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
 from trigsat.pipeline import (
@@ -10,7 +11,7 @@ from trigsat.pipeline import (
     build_selection,
     solve_problem,
 )
-from trigsat.saturation import InferenceBudget, SaturationOutcome
+from trigsat.saturation import SaturationOutcome
 
 
 class TestSelectionSetup:
@@ -44,6 +45,31 @@ class TestSelectionSetup:
             build_selection(problem, SolveOptions())
 
 
+class TestSelectionChecks:
+    def test_each_selection_is_checked_once_per_command(self, monkeypatch):
+        import trigsat.pipeline
+        import trigsat.saturation
+        from trigsat.pipeline import check_problem_saturated
+        from trigsat.selection import check_selection
+
+        checked = []
+
+        def counting(c, sel, o):
+            checked.append(c.cid)
+            return check_selection(c, sel, o)
+
+        for module in (trigsat.pipeline, trigsat.saturation):
+            monkeypatch.setattr(module, "check_selection", counting)
+        problem = parse_problem("~p(X1, Y1) | *q(f(X1), Y1)\n"
+                                "~q(X2, Y2) | *p(X2, f(Y2))\n"
+                                "~p(f(a), f(b))\n")
+        theory = [c.cid for c in problem.theory]
+        assert solve_problem(problem, SolveOptions()).verdict_line == "sat"
+        assert checked == theory
+        check_problem_saturated(problem, SolveOptions())
+        assert checked == theory * 2
+
+
 class TestSaturationGate:
     def test_theory_bottom_is_unsat_without_running_cdcl(self):
         problem = parse_problem("*p(X1)\n*~p(X2)\ng(a, b)\n")
@@ -55,17 +81,17 @@ class TestSaturationGate:
     def growing_theory(self):
         return parse_problem("p(X) | *~p(g(X))\n*p(g(Y)) | q(Y)\n")
 
-    def test_saturation_budget_without_waiver_refuses(self):
+    def test_saturation_over_budget_without_waiver_refuses(self):
         options = SolveOptions(
             extend_select="all",
-            saturation_budget=InferenceBudget(max_clauses=5))
+            budget=Budget(max_saturation_clauses=5))
         with pytest.raises(ContractError, match="not saturated"):
             solve_problem(self.growing_theory(), options)
 
-    def test_saturation_budget_with_waiver_warns(self):
+    def test_saturation_over_budget_with_waiver_warns(self):
         options = SolveOptions(
             extend_select="all", allow_unsaturated=True,
-            saturation_budget=InferenceBudget(max_clauses=5))
+            budget=Budget(max_saturation_clauses=5))
         result = solve_problem(self.growing_theory(), options)
         assert result.warnings
         assert "not certified" in result.warnings[0]
@@ -76,7 +102,7 @@ class TestSaturationGate:
 
         options = SolveOptions(
             extend_select="all",
-            saturation_budget=InferenceBudget(max_clauses=5))
+            budget=Budget(max_saturation_clauses=5))
         with pytest.raises(ContractError, match="not saturated"):
             verify_model(self.growing_theory(), [], options, depth=1)
 

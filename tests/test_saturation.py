@@ -366,16 +366,48 @@ class TestSaturate:
             saturate(problem.theory, {}, WEIGHT)
 
     def test_budget_exceeded(self):
-        from trigsat.saturation import InferenceBudget
+        from trigsat.cdcl import Budget
 
         # Resolving the g-guard against the g-headed unit grows a fresh
         # q(g^n(X)) clause each round.
         problem = parse_problem("p(X) | *~p(g(X))\n*p(g(Y)) | q(Y)\n")
         sel = dict(problem.selection)
         report = saturate(problem.theory, sel, WEIGHT,
-                          budget=InferenceBudget(max_clauses=5, timeout=60.0),
+                          budget=Budget(max_saturation_clauses=5,
+                                        timeout=60.0),
                           extend="all")
         assert report.outcome is SaturationOutcome.BUDGET_EXCEEDED
+
+    def test_budget_report_keeps_the_clause_in_flight(self):
+        # A deadline that fires partway through backward subsumption must
+        # not lose the given clause, which has not joined `active` yet.
+        from unittest import mock
+
+        import trigsat.saturation
+        from trigsat.cdcl import BudgetExceeded
+
+        problem = parse_problem("*~p(X) | q(X)\n*~q(X) | r(X)\n"
+                                "*~r(X) | s(X)\n")
+        picked, backward = [], []
+
+        def pick(passive, o, memo):
+            picked.append(_pick_given(passive, o, memo))
+            return picked[-1]
+
+        def failing(c, d, deadline):
+            if c is picked[-1]:
+                backward.append(d)
+                if len(backward) == 2:
+                    raise BudgetExceeded("timeout exceeded")
+            return subsumes(c, d, deadline)
+
+        with mock.patch.object(trigsat.saturation, "_pick_given", pick), \
+                mock.patch.object(trigsat.saturation, "subsumes", failing):
+            report = saturate(problem.theory, dict(problem.selection), WEIGHT)
+        assert report.outcome is SaturationOutcome.BUDGET_EXCEEDED
+        assert len(backward) == 2
+        assert sorted(c.cid for c in report.clauses) == sorted(
+            c.cid for c in problem.theory)
 
     def test_saturate_then_check_reports_no_violations(self):
         problem = goodsel_theory()
@@ -462,12 +494,12 @@ class TestPinnedCorpusCounts:
     def test_subsumption_maximal_saturation_hits_budget(self):
         from trigsat.corpus import corpus_ordering, load_corpus
         from trigsat.pipeline import SolveOptions, solve_problem
-        from trigsat.saturation import InferenceBudget
+        from trigsat.cdcl import Budget
 
         options = SolveOptions(
             select="maximal", ordering=corpus_ordering("subsumption"),
             allow_unsaturated=True,
-            saturation_budget=InferenceBudget(max_clauses=100))
+            budget=Budget(max_saturation_clauses=100))
         report = solve_problem(load_corpus("subsumption"), options).saturation
         assert report.outcome is SaturationOutcome.BUDGET_EXCEEDED
         assert len(report.clauses) == 127
@@ -496,11 +528,11 @@ class TestPinnedCorpusCounts:
                                                       cap):
         from trigsat.corpus import corpus_ordering, load_corpus
         from trigsat.pipeline import SolveOptions, solve_problem
-        from trigsat.saturation import InferenceBudget
+        from trigsat.cdcl import Budget
 
         budget = ({} if cap is None else
                   {"allow_unsaturated": True,
-                   "saturation_budget": InferenceBudget(max_clauses=cap)})
+                   "budget": Budget(max_saturation_clauses=cap)})
         options = SolveOptions(select="maximal",
                                ordering=corpus_ordering(corpus), **budget)
         report = solve_problem(load_corpus(corpus), options).saturation
@@ -529,7 +561,7 @@ class TestPinnedCorpusCounts:
         import trigsat.saturation
         from trigsat.corpus import corpus_ordering, load_corpus
         from trigsat.pipeline import SolveOptions, solve_problem
-        from trigsat.saturation import InferenceBudget
+        from trigsat.cdcl import Budget
 
         sizes = []
 
@@ -544,7 +576,7 @@ class TestPinnedCorpusCounts:
         options = SolveOptions(
             select="maximal", ordering=corpus_ordering("subsumption"),
             allow_unsaturated=True,
-            saturation_budget=InferenceBudget(max_clauses=600))
+            budget=Budget(max_saturation_clauses=600))
         with mock.patch.object(trigsat.saturation, "_pick_given", checked):
             report = solve_problem(load_corpus("subsumption"),
                                    options).saturation

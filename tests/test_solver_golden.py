@@ -21,7 +21,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from trigsat.cdcl import Budgets  # noqa: E402
+from trigsat.cdcl import Budget  # noqa: E402
 from trigsat.corpus import corpus_ordering, schur_problem  # noqa: E402
 from trigsat.ordering import OrderingSpec  # noqa: E402
 from trigsat.parser import parse_problem  # noqa: E402
@@ -32,7 +32,7 @@ from trigsat.pipeline import (  # noqa: E402
 )
 
 GOLDEN = ROOT / "tests" / "golden" / "solver_runs.json"
-BUDGETS = Budgets(max_instantiations=40)
+BUDGET = Budget(max_instantiations=40)
 MODES = ("lazy", "eager")
 ORDERS = ("weight", "subterm")
 # (--select, --extend-select); a strategy extended by itself is its default.
@@ -61,7 +61,7 @@ def matrix():
                     options = SolveOptions(
                         ordering=OrderingSpec(kind=order), select=select,
                         extend_select=extend, instantiate=mode,
-                        budgets=BUDGETS, trace=True)
+                        budget=BUDGET, trace=True)
                     run_id = (f"{path.name} {mode} {order} select={select} "
                               f"extend={extend}")
                     yield run_id, (lambda p=path: parse_problem(
@@ -69,7 +69,7 @@ def matrix():
     for n in (4, 5, 6):
         for mode in MODES:
             options = SolveOptions(ordering=corpus_ordering("settheory"),
-                                   instantiate=mode, budgets=BUDGETS,
+                                   instantiate=mode, budget=BUDGET,
                                    trace=True)
             yield f"schur n={n} {mode}", (lambda n=n: schur_problem(n)), \
                 options
@@ -77,7 +77,7 @@ def matrix():
         for closed in (False, True):
             for mode in MODES:
                 options = SolveOptions(ordering=OrderingSpec(kind="subterm"),
-                                       instantiate=mode, budgets=BUDGETS,
+                                       instantiate=mode, budget=BUDGET,
                                        trace=True)
                 run_id = f"chain k={k} closed={closed} {mode}"
                 yield run_id, (lambda k=k, c=closed: chain_problem(k, c)), \
