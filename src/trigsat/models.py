@@ -103,15 +103,10 @@ def combine(i1: Interpretation, i2: Interpretation) -> Interpretation:
     return Interpretation(set(i1.literals) | set(i2.literals))
 
 
-def filter_clause(c: Clause, i: Interpretation) -> Optional[Clause]:
-    """None when i satisfies c; otherwise c minus the literals false in i."""
-    filtered, _ = filter_clause_indexed(c, i)
-    return filtered
-
-
 def filter_clause_indexed(c: Clause, i: Interpretation
                           ) -> tuple[Optional[Clause], tuple[int, ...]]:
-    """Like filter_clause, also returning the surviving original positions."""
+    """(None, ()) when i satisfies c; otherwise c minus the literals false
+    in i, and the original positions of the literals it keeps."""
     if not c.is_ground:
         raise ValueError(f"filter applies to ground clauses only: {c}")
     kept: list[Literal] = []
@@ -124,19 +119,6 @@ def filter_clause_indexed(c: Clause, i: Interpretation
             kept.append(lit)
             kept_positions.append(pos)
     return Clause(tuple(kept), origin=c.origin), tuple(kept_positions)
-
-
-def filter_set(s: Iterable[Clause], i: Interpretation) -> list[Clause]:
-    """Clause-wise filtering; satisfied clauses drop, duplicates collapse."""
-    out: list[Clause] = []
-    seen = set()
-    for c in s:
-        filtered = filter_clause(c, i)
-        if filtered is None or filtered.key in seen:
-            continue
-        seen.add(filtered.key)
-        out.append(filtered)
-    return out
 
 
 def int_of(t: Iterable[Literal], u: Iterable[Literal]) -> Interpretation:

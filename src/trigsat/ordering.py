@@ -353,17 +353,26 @@ def maximum_literal(o: OrderingSpec, c: Clause) -> Optional[Literal]:
     return None
 
 
-def compare_clauses(o: OrderingSpec, c1: Clause, c2: Clause) -> Comparison:
-    """Multiset extension of the literal ordering; INCOMPARABLE propagates."""
+def compare_clauses(o: OrderingSpec, c1: Clause, c2: Clause,
+                    memo: Optional[dict] = None) -> Comparison:
+    """Multiset extension of the literal ordering; INCOMPARABLE propagates.
+    `memo`, kept by a caller across calls under o, maps (x, y) to
+    `compare_literals(o, x, y)`."""
     m1, m2 = Counter(c1.literals), Counter(c2.literals)
     only1 = list((m1 - m2).elements())
     only2 = list((m2 - m1).elements())
     if not only1 and not only2:
         return Comparison.EQ
-    gt = all(any(compare_literals(o, x, y) is Comparison.GT for x in only1)
-             for y in only2)
-    lt = all(any(compare_literals(o, y, x) is Comparison.GT for y in only2)
-             for x in only1)
+    memo = {} if memo is None else memo
+
+    def greater(x: Literal, y: Literal) -> bool:
+        c = memo.get((x, y))
+        if c is None:
+            c = memo[x, y] = compare_literals(o, x, y)
+        return c is Comparison.GT
+
+    gt = all(any(greater(x, y) for x in only1) for y in only2)
+    lt = all(any(greater(y, x) for y in only2) for x in only1)
     if gt and not lt:
         return Comparison.GT
     if lt and not gt:

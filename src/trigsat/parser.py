@@ -230,12 +230,6 @@ def format_clause(c: Clause, selected: Optional[frozenset[int]] = None) -> str:
                       for i, l in enumerate(c.literals))
 
 
-def format_problem(p: Problem) -> str:
-    lines = [format_clause(c, p.selection.get(c.cid)) for c in p.theory]
-    lines += [format_clause(c) for c in p.ground]
-    return "\n".join(lines) + "\n"
-
-
 def parse_model_text(text: str) -> list[Literal]:
     """Model files hold one ground literal per line, '~' for negation."""
     out: list[Literal] = []

@@ -209,10 +209,3 @@ def check_problem_saturated(problem: Problem,
                             options: SolveOptions) -> SaturationReport:
     selection = build_selection(problem, options)
     return check_saturated(problem.theory, selection, options.ordering)
-
-
-def solve_timed(problem: Problem, options: SolveOptions
-                ) -> tuple[SolveResult, float]:
-    started = time.monotonic()
-    result = solve_problem(problem, options)
-    return result, time.monotonic() - started

@@ -5,13 +5,14 @@ selected negative literal of another (premises renamed apart); Factoring
 merges a selected positive literal with a unifiable positive clause-mate.
 A clause set is saturated when every inference conclusion is a tautology
 or subsumed.  Subsumption uses multiset inclusion: C subsumes D iff some
-substitution maps C onto a sub-multiset of D.
+substitution maps C onto a sub-multiset of D.  Both entry points take the
+non-ground part of a problem only.
 
-Both entry points work on the non-ground part of a problem only; ground
-clauses take no part in these inferences.
-
-`saturate` checks its `Budget` once per given clause, and the deadline
-also inside subsumption, which is NP-complete.
+Checks that cannot succeed are skipped: subsumption by `Clause.signature`,
+premise pairs by `_partners`, and repeated literal comparisons by a memo
+per `saturate` call.  `saturate` checks its `Budget` once per given
+clause, and the deadline also per premise pair and inside subsumption,
+which is NP-complete.
 """
 
 from __future__ import annotations
@@ -73,6 +74,9 @@ def is_tautology(c: Clause) -> bool:
 def subsumes(c: Clause, d: Clause, deadline: float = math.inf) -> bool:
     """True iff some substitution maps c onto a sub-multiset of d.  Raises
     BudgetExceeded once `time.monotonic()` passes `deadline`."""
+    (c_mask, _), (d_mask, positions) = c.signature, d.signature
+    if c_mask & ~d_mask:
+        return False
     (c_size, c_counts), (d_size, d_counts) = c.features, d.features
     if c_size > d_size or any(d_counts.get(k, 0) < n
                               for k, n in c_counts.items()):
@@ -83,9 +87,10 @@ def subsumes(c: Clause, d: Clause, deadline: float = math.inf) -> bool:
     used = [False] * len(targets)
 
     def candidates(lit, bindings):
-        for j, target in enumerate(targets):
+        # Only d's literals of lit's sign and predicate can match it.
+        for j in positions[lit.positive, lit.atom.pred]:
             if not used[j]:
-                nxt = match_literal(lit, target, bindings)
+                nxt = match_literal(lit, targets[j], bindings)
                 if nxt is not None:
                     yield j, nxt
 
@@ -108,10 +113,6 @@ def subsumes(c: Clause, d: Clause, deadline: float = math.inf) -> bool:
             chosen.append(j)
             frames.append(candidates(lits[len(frames)], nxt))
     return False
-
-
-def variant(c: Clause, d: Clause) -> bool:
-    return len(c) == len(d) and subsumes(c, d) and subsumes(d, c)
 
 
 def resolve(c1: Clause, pos1: int, c2: Clause, pos2: int,
@@ -165,16 +166,24 @@ def factor(c: Clause, pos: int,
     return out
 
 
-def _by_polarity(c: Clause, sel: Iterable[int]) -> tuple[list[int], list[int]]:
-    """c's selected positions in ascending order: (positive, negative)."""
+def _by_polarity(c: Clause, sel: Iterable[int]) -> tuple:
+    """c's selected positions in ascending order, (positive, negative), and
+    the predicates of each of the two lists."""
     ordered = sorted(sel)
-    return ([p for p in ordered if c.literals[p].positive],
-            [p for p in ordered if not c.literals[p].positive])
+    pos = [p for p in ordered if c.literals[p].positive]
+    neg = [p for p in ordered if not c.literals[p].positive]
+    return (pos, neg, frozenset(c.literals[p].atom.pred for p in pos),
+            frozenset(c.literals[p].atom.pred for p in neg))
+
+
+def _partners(sides: dict[int, tuple], first: Clause, second: Clause) -> bool:
+    """Whether `first` selects positive a predicate `second` selects negative."""
+    return not sides[first.cid][2].isdisjoint(sides[second.cid][3])
 
 
 def _validate_all(clauses: Iterable[Clause],
                   selection: dict[int, frozenset[int]], o: OrderingSpec
-                  ) -> dict[int, tuple[list[int], list[int]]]:
+                  ) -> dict[int, tuple]:
     """Raise on a clause without a valid selection; otherwise return each
     clause's selected positions by polarity, as `inferences` takes them.
     A CheckedSelection is not checked again."""
@@ -193,7 +202,7 @@ def _validate_all(clauses: Iterable[Clause],
     return sides
 
 
-def inferences(sides: dict[int, tuple[list[int], list[int]]], first: Clause,
+def inferences(sides: dict[int, tuple], first: Clause,
                second: Optional[Clause] = None, negative_outer: bool = False):
     """Yield (kind, premise ids, conclusion) for the inferences of one
     premise pair, or of one clause when `second` is None.
@@ -220,16 +229,17 @@ def inferences(sides: dict[int, tuple[list[int], list[int]]], first: Clause,
 
 
 def _pick_given(passive: list[Clause], o: OrderingSpec,
-                memo: dict[tuple[int, int], Comparison]) -> Clause:
+                memo: dict, lit_memo: dict) -> Clause:
     # A left-to-right scan: c replaces the running best when it is smaller,
     # or EQ or INCOMPARABLE with a lower cid.  Under a partial order that
     # need not be a least clause; tests/golden/saturation_order.json pins
-    # the picks.  `memo` keeps earlier scans' comparisons by cid pair.
+    # the picks.  `memo` keeps earlier scans' comparisons by cid pair, and
+    # `lit_memo` the literal comparisons under o (see compare_clauses).
     best = passive[0]
     for c in passive[1:]:
         cmp = memo.get((c.cid, best.cid))
         if cmp is None:
-            cmp = memo[c.cid, best.cid] = compare_clauses(o, c, best)
+            cmp = memo[c.cid, best.cid] = compare_clauses(o, c, best, lit_memo)
         if cmp is Comparison.LT:
             best = c
         elif cmp in (Comparison.INCOMPARABLE, Comparison.EQ) and c.cid < best.cid:
@@ -260,6 +270,8 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
     active: list[Clause] = []
     passive: list[Clause] = list(inputs)
     compared: dict[tuple[int, int], Comparison] = {}
+    # Literals are interned and o is frozen: this call's literal comparisons.
+    literal_compared: dict = {}
     try:
         while passive:
             if len(active) + len(passive) > budget.max_saturation_clauses:
@@ -271,7 +283,7 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
             live = {p.cid for p in passive}
             compared = {k: v for k, v in compared.items()
                         if k[0] in live and k[1] in live}
-            given = _pick_given(passive, o, compared)
+            given = _pick_given(passive, o, compared, literal_compared)
             rest = [p for p in passive if p is not given]
             if is_tautology(given):
                 counts["tautologies"] += 1
@@ -289,18 +301,20 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
             counts["kept"] += 1
 
             conclusions: list[Clause] = []
-            if not given.is_ground:
-                # Ground clauses are retained but generate no inferences.
-                for other in active:
-                    if other is given:
-                        found = inferences(sides, given, given)
-                    elif other.is_ground:
+            if given.cid in sides:
+                # Ground clauses have no sides: they are retained but
+                # generate no inferences.  `given` is the last of `active`.
+                pairs = [pair for other in active[:-1] if other.cid in sides
+                         for pair in ((given, other, False),
+                                      (other, given, True))]
+                for first, second, negative_outer in pairs + [(given, given,
+                                                               False)]:
+                    if not _partners(sides, first, second):
                         continue
-                    else:
-                        found = chain(inferences(sides, given, other),
-                                      inferences(sides, other, given,
-                                                 negative_outer=True))
-                    for _, _, r in found:
+                    if time.monotonic() > deadline:
+                        raise BudgetExceeded("timeout exceeded")
+                    for _, _, r in inferences(sides, first, second,
+                                              negative_outer):
                         counts["resolvents"] += 1
                         conclusions.append(r)
                 for _, _, f in inferences(sides, given):
@@ -342,7 +356,7 @@ def check_saturated(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
     violations: list[Violation] = []
 
     enumerated = chain(
-        (i for c1 in clauses for c2 in clauses
+        (i for c1 in clauses for c2 in clauses if _partners(sides, c1, c2)
          for i in inferences(sides, c1, c2)),
         (i for c in clauses for i in inferences(sides, c)))
     for kind, premises, concl in enumerated:

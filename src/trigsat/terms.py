@@ -292,6 +292,9 @@ def literal_key(lit: Literal) -> tuple:
 
 _clause_ids = itertools.count()
 
+# Feature key -> its bit in `Clause.signature`; past 64 keys, bits repeat.
+_feature_bits: dict[tuple, int] = {}
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Clause:
@@ -307,6 +310,21 @@ class Clause:
     cid: int = field(default_factory=lambda: next(_clause_ids))
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
     _features: Optional[tuple] = field(default=None, init=False, repr=False)
+    _signature: Optional[tuple] = field(default=None, init=False, repr=False)
+
+    @property
+    def signature(self) -> tuple[int, dict[tuple[bool, str], list[int]]]:
+        # (mask, positions) for `subsumes`: a bit per key of the `features`
+        # Counter, and the literal positions per (sign, predicate) in order.
+        if self._signature is None:
+            mask = 0
+            for k in self.features[1]:
+                mask |= _feature_bits.setdefault(k, 1 << len(_feature_bits) % 64)
+            positions: dict[tuple[bool, str], list[int]] = {}
+            for j, l in enumerate(self.literals):
+                positions.setdefault((l.positive, l.atom.pred), []).append(j)
+            object.__setattr__(self, "_signature", (mask, positions))
+        return self._signature
 
     @property
     def features(self) -> tuple[int, Counter]:
@@ -488,7 +506,7 @@ def _rewrite(t: Term, image: Callable[[Var], Optional[Term]],
 
 
 class Substitution(Mapping[Var, Term]):
-    """Finite map from variables to terms; X(σρ) = (Xσ)ρ for composition.
+    """Finite map from variables to terms.
 
     Identity bindings are dropped on construction, so the domain never maps
     a variable to itself.
@@ -543,18 +561,6 @@ class Substitution(Mapping[Var, Term]):
         if isinstance(obj, Clause):
             return self.apply_clause(obj)
         raise TypeError(f"cannot apply substitution to {type(obj).__name__}")
-
-    def compose(self, other: "Substitution") -> "Substitution":
-        out: dict[Var, Term] = {v: other.apply_term(t) for v, t in self._map.items()}
-        for v, t in other._map.items():
-            if v not in self._map:
-                out[v] = t
-        return Substitution(out)
-
-
-def apply(s: Substitution, c: Clause) -> Clause:
-    """Literal-wise application; multiset cardinality is preserved."""
-    return s.apply_clause(c)
 
 
 def unify_terms(pairs: Sequence[tuple[Term, Term]]) -> Optional[Substitution]:
@@ -654,14 +660,6 @@ def match_literal(pattern: Literal, target: Literal,
     if pattern.positive != target.positive:
         return None
     return match_atom(pattern.atom, target.atom, bindings)
-
-
-def match_onto(pattern: Literal, target: Literal) -> Optional[Substitution]:
-    """Substitution θ with pattern·θ = target; the target must be ground."""
-    if vars_of(target):
-        raise ValueError("target not ground")
-    found = match_literal(pattern, target)
-    return None if found is None else Substitution(found)
 
 
 @dataclass

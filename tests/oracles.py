@@ -11,13 +11,18 @@ assignment.
 from __future__ import annotations
 
 import itertools
+import time
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
-from trigsat.models import ProductionRecord, int_of
+from trigsat.models import ProductionRecord, filter_clause_indexed, int_of
 from trigsat.ordering import Comparison, compare_clauses, compare_literals
+from trigsat.parser import format_clause
+from trigsat.pipeline import solve_problem
+from trigsat.saturation import (Violation, factor, is_tautology, resolve,
+                                subsumes)
 from trigsat.terms import (App, Atom, Clause, Substitution, Term, Var,
-                           match_literal)
+                           match_literal, vars_of)
 
 
 def truth_table_sat(clauses: list[Clause]) -> Optional[dict[Atom, bool]]:
@@ -428,6 +433,34 @@ def ref_pick_given(passive: list[Clause], o) -> Clause:
     return best
 
 
+# -- reference saturation check ------------------------------------------
+
+def ref_check_saturated(clauses: list[Clause], selection: dict):
+    """`trigsat.saturation.check_saturated` on a valid selection, as written
+    before it skipped premise pairs: every selected positive literal of
+    every clause against every selected negative literal of every clause,
+    then every clause's factors, each conclusion kept as a violation unless
+    it is a tautology or subsumed in the set.  Returns (counts,
+    violations)."""
+    found = []
+    for c1 in clauses:
+        for c2 in clauses:
+            for p in sorted(selection[c1.cid]):
+                for q in sorted(selection[c2.cid]):
+                    if c1.literals[p].positive and not c2.literals[q].positive:
+                        r = resolve(c1, p, c2, q)
+                        if r is not None:
+                            found.append(("resolution", (c1.cid, c2.cid), r))
+    for c in clauses:
+        for p in sorted(selection[c.cid]):
+            if c.literals[p].positive:
+                found.extend(("factoring", (c.cid,), f) for f in factor(c, p))
+    violations = [Violation(*i) for i in found
+                  if not (is_tautology(i[2])
+                          or any(subsumes(c, i[2]) for c in clauses))]
+    return {"inferences": len(found)}, violations
+
+
 # -- reference instantiation search --------------------------------------
 
 def ref_find_new_instance(theory: list[Clause], selection: dict,
@@ -460,3 +493,68 @@ def ref_find_new_instance(theory: list[Clause], selection: dict,
         if found is not None:
             return found
     return None
+
+
+# -- helpers that only tests call ----------------------------------------
+#
+# These were library functions that no library code, script or benchmark
+# calls; unlike the oracles above, they are built on the library.
+
+def variant(c: Clause, d: Clause) -> bool:
+    """Each of c and d subsumes the other, and they have as many literals."""
+    return len(c) == len(d) and subsumes(c, d) and subsumes(d, c)
+
+
+def apply(s: Substitution, c: Clause) -> Clause:
+    """Literal-wise application; multiset cardinality is preserved."""
+    return s.apply_clause(c)
+
+
+def format_problem(p) -> str:
+    """A parsed problem as problem text, selection marks included."""
+    lines = [format_clause(c, p.selection.get(c.cid)) for c in p.theory]
+    lines += [format_clause(c) for c in p.ground]
+    return "\n".join(lines) + "\n"
+
+
+def compose(sigma: Substitution, rho: Substitution) -> Substitution:
+    """The substitution σρ, with X(σρ) = (Xσ)ρ."""
+    out = {v: rho.apply_term(t) for v, t in sigma.items()}
+    for v, t in rho.items():
+        if v not in sigma:
+            out[v] = t
+    return Substitution(out)
+
+
+def match_onto(pattern, target) -> Optional[Substitution]:
+    """Substitution θ with pattern·θ = target; the target must be ground."""
+    if vars_of(target):
+        raise ValueError("target not ground")
+    found = match_literal(pattern, target)
+    return None if found is None else Substitution(found)
+
+
+def filter_clause(c: Clause, i) -> Optional[Clause]:
+    """None when i satisfies c; otherwise c minus the literals false in i."""
+    filtered, _ = filter_clause_indexed(c, i)
+    return filtered
+
+
+def filter_set(s: Iterable[Clause], i) -> list[Clause]:
+    """Clause-wise filtering; satisfied clauses drop, duplicates collapse."""
+    out: list[Clause] = []
+    seen = set()
+    for c in s:
+        filtered = filter_clause(c, i)
+        if filtered is None or filtered.key in seen:
+            continue
+        seen.add(filtered.key)
+        out.append(filtered)
+    return out
+
+
+def solve_timed(problem, options):
+    """`solve_problem`'s result and its wall time in seconds."""
+    started = time.monotonic()
+    result = solve_problem(problem, options)
+    return result, time.monotonic() - started

@@ -25,10 +25,9 @@ from trigsat.pipeline import (
     SolveOptions,
     check_problem_saturated,
     solve_problem,
-    solve_timed,
     verify_model,
 )
-from trigsat.saturation import SaturationOutcome, variant
+from trigsat.saturation import SaturationOutcome
 from trigsat.selection import validate_selection
 from trigsat.terms import (
     Atom,
@@ -47,8 +46,10 @@ from oracles import (
     decode_list,
     encoded_subsumes,
     horn_sat,
+    solve_timed,
     three_colorable,
     truth_table_sat,
+    variant,
 )
 
 a, b = const("a"), const("b")

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from trigsat.models import (
     Interpretation,
     combine,
-    filter_clause,
-    filter_set,
     filtered_ground_instances,
     int_of,
     produce_model,
@@ -30,7 +28,7 @@ from trigsat.terms import (
     vars_of,
 )
 
-from oracles import ref_produce_model
+from oracles import filter_clause, filter_set, ref_produce_model
 from strategies import (
     clauses,
     ground_literals,

