@@ -47,8 +47,8 @@ from .terms import (
     Clause,
     Literal,
     Substitution,
-    atom_key,
     match_literal,
+    preorder,
 )
 
 
@@ -386,7 +386,7 @@ class Solver:
             unassigned = [a for a in self._atoms if not self.trail.defines(a)]
             if not unassigned:
                 return False
-            unassigned.sort(key=atom_key)
+            unassigned.sort(key=preorder)
             best = unassigned[0]
             for a in unassigned[1:]:
                 if compare_atoms(self.ordering, a, best) is Comparison.LT:

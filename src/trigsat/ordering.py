@@ -40,14 +40,11 @@ from typing import Mapping, Optional
 from weakref import WeakKeyDictionary
 
 from .terms import (
-    _DEEP,
     Atom,
     Clause,
     Literal,
     Term,
     Var,
-    _key_order,
-    _LoopOrder,
     is_subterm,
     var_counts,
 )
@@ -101,9 +98,16 @@ class OrderingSpec:
         return Comparison.GT if ka > kb else Comparison.LT
 
 
-class _DeepWeightKey(_LoopOrder, tuple):
+# Terms at least this deep have a `_DeepWeightKey`; shallower ones a plain
+# nested tuple, which compares in C with a recursion depth bounded by about
+# twice this.
+_DEEP = 64
+
+
+class _DeepWeightKey(tuple):
     """The key of a term of depth >= _DEEP: the same (weight, precedence
-    key, argument keys) tuple, compared by a loop instead of C recursion."""
+    key, argument keys) tuple, compared by `_key_order`, a loop, instead of
+    C recursion."""
 
     __slots__ = ()
     __hash__ = None  # hashing would recurse in C
@@ -113,6 +117,37 @@ class _DeepWeightKey(_LoopOrder, tuple):
 
     def __ne__(self, other) -> bool:
         return not self == other
+
+    def __lt__(self, other) -> bool:
+        return _key_order(self, other) < 0
+
+    def __le__(self, other) -> bool:
+        return _key_order(self, other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return _key_order(self, other) > 0
+
+    def __ge__(self, other) -> bool:
+        return _key_order(self, other) >= 0
+
+
+def _key_order(x, y) -> int:
+    """-1, 0 or 1 as ground term key x sorts before, with or after y."""
+    todo = [(x, y)]
+    while todo:
+        x, y = todo.pop()
+        if x is y:
+            continue
+        if type(x) is not _DeepWeightKey and type(y) is not _DeepWeightKey:
+            # Two shallow keys, or two argument counts.
+            if x == y:
+                continue
+            return -1 if x < y else 1
+        if x[:2] != y[:2]:
+            return -1 if x[:2] < y[:2] else 1
+        todo.append((len(x[2]), len(y[2])))
+        todo.extend(reversed(list(zip(x[2], y[2]))))
+    return 0
 
 
 _VAR_ENTRY = (1,)  # a variable weighs 1; it has no place in the order

@@ -115,24 +115,18 @@ def subsumes(c: Clause, d: Clause, deadline: float = math.inf) -> bool:
     return False
 
 
-def resolve(c1: Clause, pos1: int, c2: Clause, pos2: int,
-            sel1: Optional[Iterable[int]] = None,
-            sel2: Optional[Iterable[int]] = None) -> Optional[Clause]:
+def resolve(c1: Clause, pos1: int, c2: Clause, pos2: int) -> Optional[Clause]:
     """Resolvent of c1's positive literal at pos1 with c2's negative at pos2.
 
-    Premises are renamed apart internally; when selections are supplied the
-    positions must be selected.  Returns None when the atoms do not unify.
+    Premises are renamed apart internally.  Returns None when the atoms do
+    not unify.
     """
     lit1 = c1.literals[pos1]
     if not lit1.positive:
         raise ValueError("resolution literal in the first premise must be positive")
-    if sel1 is not None and pos1 not in set(sel1):
-        raise ValueError("resolution literal in the first premise is not selected")
     lit2 = c2.literals[pos2]
     if lit2.positive:
         raise ValueError("resolution literal in the second premise must be negative")
-    if sel2 is not None and pos2 not in set(sel2):
-        raise ValueError("resolution literal in the second premise is not selected")
     if lit1.atom.pred != lit2.atom.pred:
         return None
     c2r = rename_apart(c2, vars_of(c1))
@@ -145,14 +139,11 @@ def resolve(c1: Clause, pos1: int, c2: Clause, pos2: int,
     return canonicalize(conclusion)
 
 
-def factor(c: Clause, pos: int,
-           sel: Optional[Iterable[int]] = None) -> list[Clause]:
+def factor(c: Clause, pos: int) -> list[Clause]:
     """One factor per positive clause-mate unifiable with the literal at pos."""
     lit = c.literals[pos]
     if not lit.positive:
         raise ValueError("factoring literal must be positive")
-    if sel is not None and pos not in set(sel):
-        raise ValueError("factoring literal is not selected")
     out: list[Clause] = []
     for j, other in enumerate(c.literals):
         if j == pos or not other.positive:

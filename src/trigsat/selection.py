@@ -54,13 +54,6 @@ class ValidationResult:
         return f"{self.reason} (witness positions {sorted(self.witness)})"
 
 
-def _positions_vars(c: Clause, positions: Iterable[int]) -> set[Var]:
-    out: set[Var] = set()
-    for p in positions:
-        out |= vars_of(c.literals[p])
-    return out
-
-
 def validate_selection(c: Clause, sel: Iterable[int],
                        o: OrderingSpec) -> ValidationResult:
     """Check the validity condition by enumerating every subset of sel."""
@@ -75,10 +68,11 @@ def validate_selection(c: Clause, sel: Iterable[int],
             f"selection of {len(positions)} literals exceeds the cap of "
             f"{MAX_SELECTED}")
     cvars = vars_of(c)
+    pvars = {p: vars_of(c.literals[p]) for p in positions}
     for size in range(len(positions) + 1):
         for subset in itertools.combinations(positions, size):
             t = set(subset)
-            if _positions_vars(c, t) == cvars:
+            if set().union(*(pvars[p] for p in subset)) == cvars:
                 continue
             rest_sel = [c.literals[p] for p in positions if p not in t]
             if any(not lit.positive for lit in rest_sel):
@@ -90,7 +84,7 @@ def validate_selection(c: Clause, sel: Iterable[int],
                 origin=c.origin)
             needed = maximal_literals(o, rest_clause)
             if not set(needed) <= set(rest_sel):
-                missing = cvars - _positions_vars(c, positions)
+                missing = cvars.difference(*pvars.values())
                 if t == set(positions) and missing:
                     reason = ("selected literals do not cover the clause "
                               "variables: missing "
@@ -119,7 +113,7 @@ class CheckedSelection(dict):
 
 
 def _coverage_or_raise(c: Clause, positions: set[int], what: str) -> None:
-    missing = vars_of(c) - _positions_vars(c, positions)
+    missing = vars_of(c) - vars_of(c.literals[p] for p in positions)
     if missing:
         raise SelectionError(
             c, f"{what} does not cover all clause variables", missing)

@@ -6,14 +6,15 @@ built once, through a weak intern table, so equal values are the same
 object and equal subterms are shared.  Equality and hash are therefore
 object identity, which plays the part of the paper's unique tags.  A term
 computes at construction, from its children's cached fields, its ground
-flag, its depth, its symbol count and its `term_key` (a nested tuple, or
-for a very deep term a small `_DeepKey` made on demand).  Nodes must never
-be mutated.
+flag, its depth and its symbol count.  Nodes must never be mutated.  Where
+a deterministic order on ground terms or atoms is needed, `preorder` lists
+their symbols as a flat tuple on demand.
 
 Clauses are multisets of literals (duplicates are preserved); equality and
-hashing go through a canonical multiset key, while the stored literal order
-is kept for display.  Every walk over a term is a loop, so terms of any
-depth are safe; every operation here is a pure function.
+hashing go through a canonical multiset key, the literals in identity
+order, while the stored literal order is kept for display.  Every walk over
+a term is a loop, so terms of any depth are safe; every operation here is
+a pure function.
 """
 
 from __future__ import annotations
@@ -70,14 +71,9 @@ _apps: dict = {}
 _atoms: dict = {}
 _literals: dict = {}
 
-# Terms at least this deep have a `_DeepKey`; shallower ones a nested
-# tuple, which compares in C with a recursion depth bounded by about twice
-# this.
-_DEEP = 64
-
 
 class Var(_Node):
-    __slots__ = ("name", "key")
+    __slots__ = ("name",)
     ground = False
     depth = 0
     size = 1
@@ -87,7 +83,6 @@ class Var(_Node):
         if node is None:
             node = object.__new__(cls)
             node.name = name
-            node.key = (0, name)
             table.add(name, node)
         return node
 
@@ -96,7 +91,7 @@ class Var(_Node):
 
 
 class App(_Node):
-    __slots__ = ("fn", "args", "key", "ground", "depth", "size")
+    __slots__ = ("fn", "args", "ground", "depth", "size")
 
     def __new__(cls, fn: str, args: tuple["Term", ...] = ()) -> "App":
         if type(args) is not tuple:
@@ -109,9 +104,6 @@ class App(_Node):
             node.ground = all(a.ground for a in args)
             node.depth = 1 + max(a.depth for a in args) if args else 0
             node.size = 1 + sum(a.size for a in args)
-            # Deep terms build their `_DeepKey` on demand (see term_key).
-            node.key = ((1, fn, tuple(a.key for a in args))
-                        if node.depth < _DEEP else None)
             table.add(args, node)
         return node
 
@@ -120,73 +112,6 @@ class App(_Node):
 
 
 Term = Union[Var, App]
-
-
-class _LoopOrder:
-    """Base of the keys that stand for nested tuples too deep to compare in
-    C: they order by `_key_order`, a loop."""
-
-    __slots__ = ()
-
-    def __lt__(self, other) -> bool:
-        return _key_order(self, other) < 0
-
-    def __le__(self, other) -> bool:
-        return _key_order(self, other) <= 0
-
-    def __gt__(self, other) -> bool:
-        return _key_order(self, other) > 0
-
-    def __ge__(self, other) -> bool:
-        return _key_order(self, other) >= 0
-
-
-class _DeepKey(_LoopOrder):
-    """`term_key` of a term of depth >= _DEEP: it orders like the nested
-    tuple (1, fn, argument keys) it stands for, and equals only the key of
-    the same term."""
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: str, args: tuple[Term, ...]) -> None:
-        self.fn = fn
-        self.args = args
-
-    def __hash__(self) -> int:
-        return hash((self.fn, self.args))
-
-    def __eq__(self, other: object) -> bool:
-        return (type(other) is _DeepKey and self.fn == other.fn
-                and self.args == other.args)
-
-
-def _key_parts(k) -> tuple[tuple, tuple]:
-    """The head (first two fields) and the argument keys of a key laid out
-    like (tag, name, argument keys); a tag of 0 marks a leaf."""
-    if type(k) is _DeepKey:
-        return (1, k.fn), tuple(term_key(a) for a in k.args)
-    return k[:2], (k[2] if k[0] else ())
-
-
-def _key_order(x, y) -> int:
-    """-1, 0 or 1 as key x sorts before, with or after y, where x and y are
-    term keys or both keys of the kind `_key_parts` reads."""
-    todo = [(x, y)]
-    while todo:
-        x, y = todo.pop()
-        if x is y:
-            continue
-        if not isinstance(x, _LoopOrder) and not isinstance(y, _LoopOrder):
-            # Two shallow keys, or two argument counts.
-            if x == y:
-                continue
-            return -1 if x < y else 1
-        (hx, ax), (hy, ay) = _key_parts(x), _key_parts(y)
-        if hx != hy:
-            return -1 if hx < hy else 1
-        todo.append((len(ax), len(ay)))
-        todo.extend(reversed(list(zip(ax, ay))))
-    return 0
 
 
 def _text(head: str, args: tuple[Term, ...]) -> str:
@@ -274,20 +199,18 @@ class Literal(_Node):
         return str(self.atom) if self.positive else f"~{self.atom}"
 
 
-def term_key(t: Term) -> tuple:
-    """Total structural key; used for deterministic tie-breaking only.
-
-    Keys order like (0, name) for a variable and (1, fn, argument keys)
-    for an application, compared lexicographically."""
-    return t.key or _DeepKey(t.fn, t.args)
-
-
-def atom_key(a: Atom) -> tuple:
-    return (a.pred, tuple(term_key(t) for t in a.args))
-
-
-def literal_key(lit: Literal) -> tuple:
-    return (atom_key(lit.atom), 0 if lit.positive else 1)
+def preorder(obj: Union[App, Atom]) -> tuple[str, ...]:
+    """The symbols of a ground term or atom in preorder.  With one arity
+    per symbol (as `Signature` enforces) these flat tuples order ground
+    terms, and atoms, as their structure does lexicographically, and they
+    compare in C without recursion at any depth."""
+    out = [obj.pred if isinstance(obj, Atom) else obj.fn]
+    stack = list(reversed(obj.args))
+    while stack:
+        t = stack.pop()
+        out.append(t.fn)
+        stack.extend(reversed(t.args))
+    return tuple(out)
 
 
 _clause_ids = itertools.count()
@@ -346,11 +269,12 @@ class Clause:
 
     @property
     def key(self) -> tuple:
-        # The literals in `literal_key` order, computed once: a canonical
-        # form of the multiset whose hash and equality cost O(literals).
+        # The literals in identity order, computed once: interned literals
+        # make this a canonical form of the multiset (within a process)
+        # whose hash and equality cost O(literals).
         key = self._key
         if key is None:
-            key = tuple(sorted(self.literals, key=literal_key))
+            key = tuple(sorted(self.literals, key=id))
             if key == self.literals:
                 key = self.literals
             object.__setattr__(self, "_key", key)
@@ -720,23 +644,18 @@ def ground_terms(sig: Signature, depth: int) -> list[Term]:
         raise ValueError("depth must be >= 0")
     if not sig.constants:
         raise ValueError("signature has no constant")
-    by_depth: list[list[Term]] = [[const(c) for c in sig.constants]]
+    out: list[Term] = [const(c) for c in sig.constants]
+    prev = set(out)
     fns = sorted((n, a) for n, a in sig.functions.items() if a > 0)
-    for d in range(1, depth + 1):
-        shallower = [t for level in by_depth for t in level]
-        prev = by_depth[d - 1]
-        level: list[Term] = []
-        for name, arity in fns:
-            for combo in itertools.product(shallower, repeat=arity):
-                if any(c in prev for c in combo):
-                    level.append(App(name, combo))
-        # Drop duplicates while keeping first-seen order.
-        uniq: dict[Term, None] = {}
-        for t in level:
-            uniq.setdefault(t)
-        by_depth.append(sorted(uniq, key=term_key))
-    out = [t for level in by_depth for t in level]
-    return sorted(set(out), key=lambda t: (term_depth(t), term_key(t)))
+    for _ in range(depth):
+        # Each term of the next depth once: a distinct combination with an
+        # argument of exactly the previous depth.
+        level = [App(name, combo) for name, arity in fns
+                 for combo in itertools.product(out, repeat=arity)
+                 if any(c in prev for c in combo)]
+        out += level
+        prev = set(level)
+    return sorted(out, key=lambda t: (t.depth, preorder(t)))
 
 
 def enumerate_ground_instances(c: Clause, sig: Signature, depth: int) -> list[Clause]:

@@ -16,7 +16,8 @@ from functools import cmp_to_key
 from typing import Iterable, Optional
 
 from trigsat.models import ProductionRecord, filter_clause_indexed, int_of
-from trigsat.ordering import Comparison, compare_clauses, compare_literals
+from trigsat.ordering import (Comparison, compare_atoms, compare_clauses,
+                              compare_literals)
 from trigsat.parser import format_clause
 from trigsat.pipeline import solve_problem
 from trigsat.saturation import (Violation, factor, is_tautology, resolve,
@@ -198,6 +199,11 @@ def ref_term_key(t: Term) -> tuple:
     return (1, t.fn, tuple(ref_term_key(a) for a in t.args))
 
 
+def ref_preorder(t: Term) -> tuple:
+    """The symbols of ground term t in preorder."""
+    return (t.fn,) + sum((ref_preorder(a) for a in t.args), ())
+
+
 def ref_depth(t: Term) -> int:
     if isinstance(t, Var) or not t.args:
         return 0
@@ -372,7 +378,7 @@ def ref_compare_clauses(o, weights: dict, c1: Clause,
 # -- reference decide choice and clause sort -----------------------------
 #
 # `Solver.decide`'s choice as written before ground atoms had order keys,
-# a scan for the minimum in `atom_key` order, and `sort_clause` as
+# a scan for the minimum in structural order, and `sort_clause` as
 # written before it read recency alone, a sort through `cmp_to_key` that
 # broke recency ties by the atom order.  Here they compare with
 # `ref_compare_atoms` and `ref_term_key`, so they share no ordering code
@@ -383,12 +389,20 @@ def _ref_atom_key(a: Atom) -> tuple:
 
 
 def ref_decide_choice(o, atoms: list[Atom]) -> Atom:
-    """The atom `Solver.decide` sets false among the unassigned `atoms`."""
+    """The atom `Solver.decide` sets false among the unassigned `atoms`.
+    The subterm order has no reference here, so under it the scan
+    compares with the library's `compare_atoms`."""
     weights = dict(o.weights)
+
+    def below(x: Atom, y: Atom) -> bool:
+        c = (compare_atoms(o, x, y) if o.kind == "subterm"
+             else ref_compare_atoms(o, weights, x, y))
+        return c is Comparison.LT
+
     unassigned = sorted(atoms, key=_ref_atom_key)
     best = unassigned[0]
     for a in unassigned[1:]:
-        if ref_compare_atoms(o, weights, a, best) is Comparison.LT:
+        if below(a, best):
             best = a
     return best
 

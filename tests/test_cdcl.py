@@ -1,6 +1,7 @@
 """CDCL engine: rule mechanics, worked runs, and oracle agreement."""
 
 import gc
+import itertools
 import random
 import time
 import weakref
@@ -133,6 +134,29 @@ class TestDecide:
         s = solver_for([clause([prop("a")]), clause([prop("b"), prop("c")])])
         with pytest.raises(RuntimeError, match="pending"):
             s.decide()
+
+
+class TestMonitorsFire:
+    """The horn and 2sat monitors on inputs outside their fragments."""
+
+    P, Q, R = (Atom(name, (a,)) for name in "pqr")
+
+    def test_horn_monitor_reports_conflict_above_level_zero(self):
+        ground = [Clause((Literal(self.P, sp), Literal(self.Q, sq)))
+                  for sp in (True, False) for sq in (True, False)]
+        s = solver_for(ground, horn_monitor=True)
+        assert s.run().verdict.kind == "unsat"
+        assert s.stats.monitor_violations == [
+            "horn monitor: conflict at level 1 on p(a) | ~q(a)"]
+
+    def test_twosat_monitor_reports_two_literal_learned_clause(self):
+        ground = [Clause(tuple(map(Literal, (self.P, self.Q, self.R), signs)))
+                  for signs in itertools.product((True, False), repeat=3)]
+        s = solver_for(ground, twosat_monitor=True)
+        assert s.run().verdict.kind == "unsat"
+        assert s.stats.monitor_violations == [
+            "2sat monitor: learned clause p(a) | q(a) has 2 literals",
+            "2sat monitor: learned clause ~p(a) | q(a) has 2 literals"]
 
 
 class TestPropagate:
@@ -588,6 +612,32 @@ class TestOrderKeysAgainstReference:
         assert s.trail.literals()[-1] is Literal(best, False)
 
 
+class TestSubtermDecideAgainstReference:
+    """Under the subterm order `decide` scans the unassigned atoms of G in
+    structural order and moves to each atom below its current pick, so
+    the structural order breaks ties between incomparable minima."""
+
+    def test_incomparable_minima(self):
+        pab, pba = Atom("p", (a, b)), Atom("p", (b, a))
+        s = Solver(ground=[Clause((Literal(pba), Literal(pab)))],
+                   theory=[], selection={}, ordering=SUBTERM)
+        assert s.decide(_guard_checked=True)
+        assert s.trail.literals() == [Literal(pab, False)]
+
+    @given(st.lists(ground_atoms(max_depth=2), min_size=1, max_size=8,
+                    unique=True), st.data())
+    def test_decide_matches_reference_scan(self, pool, data):
+        assigned = data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                      max_size=len(pool) - 1))
+        s = Solver(ground=[Clause(tuple(Literal(x) for x in pool))],
+                   theory=[], selection={}, ordering=SUBTERM)
+        s.trail = _trail_over(assigned)
+        assert s.decide(_guard_checked=True)
+        best = ref_decide_choice(SUBTERM,
+                                 [x for x in pool if x not in assigned])
+        assert s.trail.literals()[-1] is Literal(best, False)
+
+
 class TestDecideHeap:
     """Under weight orderings `decide` pops a heap that trail cuts and new
     atoms of G refill; it must pick as the scan over G's atoms did."""
@@ -663,6 +713,14 @@ class TestDeepAtomsOfEqualWeight:
 
     def test_decide(self):
         s = solver_for([Clause((Literal(self.DEEP_B), Literal(self.DEEP_A)))])
+        assert s.decide(_guard_checked=True)
+        assert s.trail.literals() == [Literal(self.DEEP_A, False)]
+
+    def test_decide_under_subterm_order(self):
+        # Incomparable: the structural order picks the one ending in a.
+        s = Solver(ground=[Clause((Literal(self.DEEP_B),
+                                   Literal(self.DEEP_A)))],
+                   theory=[], selection={}, ordering=SUBTERM)
         assert s.decide(_guard_checked=True)
         assert s.trail.literals() == [Literal(self.DEEP_A, False)]
 

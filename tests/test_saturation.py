@@ -103,12 +103,6 @@ class TestResolve:
         with pytest.raises(ValueError, match="negative"):
             resolve(c2, 0, c3, 1)
 
-    def test_selection_contract(self):
-        c2 = clause([lit(Atom("p", (X,))), lit(Atom("q", (X,)), False)])
-        c3 = clause([lit(Atom("p", (Y,)), False), lit(Atom("q", (Y,)))])
-        with pytest.raises(ValueError, match="not selected"):
-            resolve(c2, 0, c3, 0, sel1={1}, sel2={0})
-
     def test_shared_variable_names_renamed_apart(self):
         c1 = clause([lit(Atom("p", (X,)))])
         c2 = clause([lit(Atom("p", (fn("f", X),)), False),

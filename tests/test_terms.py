@@ -1,5 +1,7 @@
 """Term core: unification, matching, substitution, ground enumeration."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,9 +22,9 @@ from trigsat.terms import (
     ground_terms,
     is_subterm,
     match_literal,
+    preorder,
     symbol_count,
     term_depth,
-    term_key,
     unify,
     vars_of,
 )
@@ -35,10 +37,18 @@ from oracles import (
     ref_depth,
     ref_ground,
     ref_rebuild,
+    ref_preorder,
     ref_symbol_count,
     ref_term_key,
 )
-from strategies import atoms, clauses, ground_substitutions, terms
+from strategies import (
+    atoms,
+    clauses,
+    ground_substitutions,
+    ground_terms_st,
+    literals,
+    terms,
+)
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 a, b = const("a"), const("b")
@@ -247,6 +257,16 @@ class TestGroundEnumeration:
         depths = [term_depth(t) for t in ground_terms(sig, 2)]
         assert depths == sorted(depths)
 
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_order_is_depth_then_structure(self, depth):
+        # Names that prefix one another, or sort apart from their length.
+        sig = self.sig({"a": 0, "a0": 0, "_x": 0, "n1": 0, "n10": 0,
+                        "n2": 0, "f": 1, "fa": 2})
+        out = ground_terms(sig, depth)
+        assert len(out) == len(set(out))
+        assert out == sorted(set(out),
+                             key=lambda t: (ref_depth(t), ref_term_key(t)))
+
 
 class TestClauseSemantics:
     def test_multiset_equality_ignores_order(self):
@@ -254,6 +274,17 @@ class TestClauseSemantics:
         c2 = clause([lit(Atom("q", (b,))), lit(Atom("p", (a,)))])
         assert c1 == c2
         assert hash(c1) == hash(c2)
+
+    @given(st.lists(literals(), min_size=1, max_size=4), st.data())
+    def test_equal_exactly_when_literal_multisets_are(self, pool, data):
+        # Drawn from a small pool, so that literals repeat.
+        draw = st.lists(st.sampled_from(pool), max_size=6)
+        l1 = data.draw(draw)
+        l2 = data.draw(st.one_of(draw, st.permutations(l1)))
+        c1, c2 = clause(l1), clause(l2)
+        assert (c1 == c2) == (Counter(l1) == Counter(l2))
+        if c1 == c2:
+            assert hash(c1) == hash(c2)
 
     def test_duplicates_are_preserved(self):
         single = clause([lit(Atom("p", (a,)))])
@@ -295,14 +326,17 @@ class TestHashConsing:
         assert term_depth(t) == ref_depth(t)
         assert t.ground == ref_ground(t)
         assert symbol_count(t) == ref_symbol_count(t)
-        assert term_key(t) == ref_term_key(t)
+        if t.ground:
+            assert preorder(t) == ref_preorder(t)
 
-    @given(terms(max_depth=4), terms(max_depth=4),
+    @given(ground_terms_st(max_depth=4), ground_terms_st(max_depth=4),
            st.sampled_from([0, 1, 70]), st.sampled_from([0, 1, 70]))
-    def test_key_order_matches_reference_at_any_depth(self, s, t, ds, dt):
-        # Depth 70 passes the depth at which keys stop being nested tuples.
+    def test_preorder_orders_as_reference_key_at_any_depth(self, s, t, ds,
+                                                            dt):
+        # Depth 70 passes the depth at which nested tuples would compare
+        # by C recursion past 128 levels.
         s, t = nest(ds, s, "g"), nest(dt, t, "g")
-        ks, kt = term_key(s), term_key(t)
+        ks, kt = preorder(s), preorder(t)
         rs, rt = ref_term_key(s), ref_term_key(t)
         assert (ks < kt) == (rs < rt)
         assert (ks > kt) == (rs > rt)
@@ -315,12 +349,18 @@ class TestDeepTerms:
 
     DEPTH = 5000
 
-    def test_keys_and_variables(self):
+    def test_preorder_and_variables(self):
         deep_a, deep_b = nest(self.DEPTH, a), nest(self.DEPTH, b)
-        assert term_key(deep_a) < term_key(deep_b)
-        assert term_key(deep_a) == term_key(nest(self.DEPTH, a))
-        assert sorted([term_key(deep_b), term_key(a), term_key(deep_a)]) == \
-            [term_key(a), term_key(deep_a), term_key(deep_b)]
+        # ref_term_key recurses, so it orders the same pairs 50 deep.
+        assert ref_term_key(nest(50, a)) < ref_term_key(nest(50, b)) < \
+            ref_term_key(nest(50, fn("h", a)))
+        assert preorder(deep_a) < preorder(deep_b) < \
+            preorder(nest(self.DEPTH, fn("h", a)))
+        assert preorder(deep_a) == preorder(nest(self.DEPTH, a))
+        assert sorted([preorder(deep_b), preorder(a), preorder(deep_a)]) == \
+            [preorder(a), preorder(deep_a), preorder(deep_b)]
+        assert preorder(Atom("p", (deep_a, b))) < \
+            preorder(Atom("p", (deep_b, a)))
         assert vars_of(nest(self.DEPTH, X)) == {X}
         assert vars_of(deep_a) == set()
         assert term_depth(deep_a) == self.DEPTH
