@@ -333,8 +333,6 @@ class TestHashConsing:
            st.sampled_from([0, 1, 70]), st.sampled_from([0, 1, 70]))
     def test_preorder_orders_as_reference_key_at_any_depth(self, s, t, ds,
                                                             dt):
-        # Depth 70 passes the depth at which nested tuples would compare
-        # by C recursion past 128 levels.
         s, t = nest(ds, s, "g"), nest(dt, t, "g")
         ks, kt = preorder(s), preorder(t)
         rs, rt = ref_term_key(s), ref_term_key(t)
