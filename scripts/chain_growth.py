@@ -3,7 +3,10 @@
 
 The two-clause p/q theory walks one chain step per instantiation, so the
 count should stay linear in the chain length k (comfortably inside the
-quadratic envelope the Horn/2SAT complexity argument promises).  The
+quadratic envelope the Horn/2SAT complexity argument promises).  Every
+clause is Horn and has two literals, so every run checks both claims
+with the solver's Horn and 2SAT monitors, which are on for inputs in
+their fragment; a violation lands in `RunStats.monitor_violations`.  The
 run column is the CDCL run's own seconds (`RunStats.wall_time`, the time
 `--timeout` bounds); the seconds column is the wall time of the whole
 solve of one parsed chain: selection, saturation and the run.

@@ -32,7 +32,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sized
 
 from .ordering import (
     Comparison,
@@ -157,13 +157,6 @@ class RunStats:
     learned_sizes: list[int] = field(default_factory=list)
     monitor_violations: list[str] = field(default_factory=list)
     wall_time: float = 0.0
-    # Steps since the last Instantiate/Learn event, for the counting bound:
-    # at most n Decide+Propagate steps and n Backjump steps in between.
-    _dp_since_event: int = 0
-    _bj_this_conflict: int = 0
-
-    def note(self, violation: str) -> None:
-        self.monitor_violations.append(violation)
 
 
 @dataclass(frozen=True)
@@ -219,6 +212,73 @@ class _DecideHeap:
         return heap[0][1] if heap else None
 
 
+class _Monitors:
+    """The paper's invariants, checked at each rule event; each breach
+    appends one `... monitor: ...` message to `violations`.  The Horn claim
+    (no conflict above level 0) and the 2SAT claim (every learned clause a
+    unit) are on only when every clause given to the solver is in their
+    fragment; instances and learned clauses stay in it."""
+
+    def __init__(self, clauses: list[Clause], atoms: Sized,
+                 violations: list[str]) -> None:
+        self.horn = all(sum(l.positive for l in c.literals) <= 1
+                        for c in clauses)
+        self.twosat = all(len(c) <= 2 for c in clauses)
+        self.atoms = atoms  # G's atoms, shared with the solver
+        self._note = violations.append
+        self._steps = 0  # Decide+Propagate steps since Instantiate/Learn
+        self._backjumps = 0  # Backjump steps in the current conflict
+
+    def conflict(self, trail: Trail, c: Clause) -> None:
+        level = trail.level
+        if self.horn and level > 0:
+            self._note(f"horn monitor: conflict at level {level} on {c}")
+        if len(c) >= 2:
+            l1, l2 = sort_clause(trail, c)[:2]
+            if trail.level_of(l1) != trail.level_of(l2):
+                self._note(f"conflict-level monitor: two newest falsified "
+                           f"literals of {c} at different levels")
+        if len(c) == 1 and level > 0:
+            self._note(f"unit-conflict monitor: unit clause {c} conflicting "
+                       f"at level {level}")
+        self._backjumps = 0
+
+    def propagate(self, trail: Trail, c: Clause, lit: Literal) -> None:
+        if len(c) >= 2:
+            second = trail.level_of(sort_clause(trail, c)[1])
+            if second != trail.level:
+                self._note(f"propagation-level monitor: {c} propagates {lit} "
+                           f"at level {trail.level} but its second literal "
+                           f"was falsified at level {second}")
+
+    def step(self) -> None:
+        self._steps += 1
+        n = len(self.atoms)
+        if self._steps > max(n, 1):
+            self._note(f"step-count monitor: {self._steps} decide/propagate "
+                       f"steps since the last instantiate/learn with {n} "
+                       f"atoms")
+
+    def backjump(self) -> None:
+        self._backjumps += 1
+        n = len(self.atoms)
+        if self._backjumps > n:
+            self._note(f"backjump-count monitor: {self._backjumps} resolution"
+                       f" steps in one conflict with {n} atoms")
+
+    def learn(self, trail: Trail, c: Clause) -> None:
+        if trail.level == 0 and len(c) > 1:
+            self._note(f"level-zero monitor: learned clause {c} with "
+                       f"{len(c)} literals at level 0")
+        if self.twosat and len(c) >= 2:
+            self._note(f"2sat monitor: learned clause {c} has {len(c)} "
+                       f"literals")
+        self._steps = 0
+
+    def instantiate(self) -> None:
+        self._steps = 0
+
+
 class Solver:
     """One CDCL run; owns its state exclusively."""
 
@@ -229,9 +289,7 @@ class Solver:
                  instantiate_mode: str = "lazy",
                  budget: Budget = Budget(),
                  deadline: Optional[float] = None,
-                 trace: bool = False,
-                 horn_monitor: bool = False,
-                 twosat_monitor: bool = False) -> None:
+                 trace: bool = False) -> None:
         if instantiate_mode not in ("lazy", "eager"):
             raise ValueError(f"unknown instantiation mode: {instantiate_mode!r}")
         self.ordering = ordering
@@ -249,8 +307,6 @@ class Solver:
         self.stats = RunStats()
         self.trace: list[str] = []
         self._tracing = trace
-        self._horn = horn_monitor
-        self._twosat = twosat_monitor
         self.ground: list[Clause] = []
         self._ground_keys: set = set()
         self._instances_in_ground: dict[int, set] = {}
@@ -264,6 +320,8 @@ class Solver:
             self._triggers.append((c, patterns, keys))
         for c in ground:
             self._add_ground(c)
+        self.monitors = _Monitors([*self.ground, *theory], self._atoms,
+                                  self.stats.monitor_violations)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -319,29 +377,12 @@ class Solver:
             if self._unit_or_false(c) == ():
                 self.lc = c
                 self.stats.conflicts += 1
-                self._bump_conflict_monitors(c)
+                if self.trail.level > 0:
+                    self.stats.conflicts_above_level0 += 1
+                self.monitors.conflict(self.trail, c)
                 self._emit("conflict {} level={}", c, self.trail.level)
                 return True
         return False
-
-    def _bump_conflict_monitors(self, c: Clause) -> None:
-        level = self.trail.level
-        if level > 0:
-            self.stats.conflicts_above_level0 += 1
-            if self._horn:
-                self.stats.note(
-                    f"horn monitor: conflict at level {level} on {c}")
-        if len(c) >= 2:
-            l1, l2 = sort_clause(self.trail, c)[:2]
-            if self.trail.level_of(l1) != self.trail.level_of(l2):
-                self.stats.note(
-                    f"conflict-level monitor: two newest falsified literals "
-                    f"of {c} at different levels")
-        if len(c) == 1 and level > 0:
-            self.stats.note(
-                f"unit-conflict monitor: unit clause {c} conflicting at "
-                f"level {level}")
-        self.stats._bj_this_conflict = 0
 
     def propagate(self) -> bool:
         """Propagate: a clause's sorted head is unassigned, the rest false."""
@@ -352,17 +393,10 @@ class Solver:
                 continue
             lit, = unit
             level = self.trail.level
-            if len(c) >= 2:
-                second = sort_clause(self.trail, c)[1]
-                if self.trail.level_of(second) != level:
-                    self.stats.note(
-                        f"propagation-level monitor: {c} propagates {lit} "
-                        f"at level {level} but its second literal was "
-                        f"falsified at level {self.trail.level_of(second)}")
+            self.monitors.propagate(self.trail, c, lit)
             self.trail.push(lit, level, c)
             self.stats.propagates += 1
-            self.stats._dp_since_event += 1
-            self._check_dp_bound()
+            self.monitors.step()
             self._emit("propagate {} level={} reason={}", lit, level, c)
             return True
         return False
@@ -394,8 +428,7 @@ class Solver:
         level = self.trail.level + 1
         self.trail.push(Literal(best, False), level, None)
         self.stats.decides += 1
-        self.stats._dp_since_event += 1
-        self._check_dp_bound()
+        self.monitors.step()
         self._emit("decide ~{} level={}", best, level)
         return True
 
@@ -430,30 +463,17 @@ class Solver:
         merged = [l for l in reason.literals if l != flipped] + rest
         self.lc = Clause(tuple(dict.fromkeys(merged)), origin="learned")
         self.stats.backjumps += 1
-        self.stats._bj_this_conflict += 1
-        n = len(self._atoms)
-        if self.stats._bj_this_conflict > n:
-            self.stats.note(
-                f"backjump-count monitor: {self.stats._bj_this_conflict} "
-                f"resolution steps in one conflict with {n} atoms")
+        self.monitors.backjump()
         self._emit("backjump {} level={}", self.lc, self.trail.level)
 
     def learn(self) -> None:
         """Add the conflict clause to G and rewind the trail."""
         c = self.lc
         assert c is not None and not c.is_empty
-        level = self.trail.level
-        if level == 0 and len(c) > 1:
-            self.stats.note(
-                f"level-zero monitor: learned clause {c} with "
-                f"{len(c)} literals at level 0")
-        if self._twosat and len(c) >= 2:
-            self.stats.note(
-                f"2sat monitor: learned clause {c} has {len(c)} literals")
+        self.monitors.learn(self.trail, c)
         self._add_ground(c)
         self.stats.learns += 1
         self.stats.learned_sizes.append(len(c))
-        self.stats._dp_since_event = 0
         self._rewind(c)
         self.lc = None
         self._emit("learn {} level={}", c, self.trail.level)
@@ -475,7 +495,7 @@ class Solver:
         parent, theta, instance = found
         added = self._add_ground(instance)  # duplicate-literal-merged form
         self.stats.instantiations += 1
-        self.stats._dp_since_event = 0
+        self.monitors.instantiate()
         self._emit("instantiate {} from {} level={}", instance, parent,
                    self.trail.level)
         self._rewind(added)
@@ -547,14 +567,6 @@ class Solver:
                 return c, theta, instance
             in_ground.add(match)
         return None
-
-    def _check_dp_bound(self) -> None:
-        n = len(self._atoms)
-        if self.stats._dp_since_event > max(n, 1):
-            self.stats.note(
-                f"step-count monitor: {self.stats._dp_since_event} "
-                f"decide/propagate steps since the last instantiate/learn "
-                f"with {n} atoms")
 
     # -- main loop -------------------------------------------------------
 

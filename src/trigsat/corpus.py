@@ -92,13 +92,6 @@ CORPORA = {
 }
 
 
-def load_corpus(name: str) -> Problem:
-    if name not in CORPORA:
-        raise ValueError(f"unknown corpus: {name!r} "
-                         f"(available: {', '.join(sorted(CORPORA))})")
-    return parse_problem(CORPORA[name])
-
-
 def corpus_ordering(name: str) -> OrderingSpec:
     """The ordering under which the corpus selection validates."""
     if name == "settheory":

@@ -75,6 +75,10 @@ class OrderingSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("weight", "subterm"):
             raise ValueError(f"unknown ordering kind: {self.kind!r}")
+        twice = [n for i, n in enumerate(self.precedence)
+                 if n in self.precedence[:i]]
+        if twice:
+            raise ValueError(f"precedence lists {twice[0]!r} twice")
         # A frozen copy, so that neither the check nor `_atoms` goes stale.
         weights = MappingProxyType(dict(self.weights))
         for name, w in weights.items():

@@ -251,13 +251,9 @@ def parse_model_text(text: str) -> list[Literal]:
 
 
 def model_lines(literals: Sequence[Literal]) -> Iterator[str]:
-    """The text of `format_model`, one line at a time, so that a large
-    model is never held whole."""
+    """A model file's text, one literal per line, yielded line by line so
+    that a large model is never held whole."""
     if not literals:
         yield "\n"
     for lit in literals:
         yield f"{lit}\n"
-
-
-def format_model(literals) -> str:
-    return "".join(model_lines(list(literals)))

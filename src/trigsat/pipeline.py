@@ -160,6 +160,7 @@ def solve_problem(problem: Problem, options: SolveOptions) -> SolveResult:
         trace=options.trace,
     )
     run = solver.run()
+    result.warnings.extend(run.stats.monitor_violations)
     result.run = run
     result.verdict_line = run.verdict.kind
     return result

@@ -309,14 +309,6 @@ class Clause:
         return " | ".join(str(l) for l in self.literals)
 
 
-def clause(literals: Iterable[Literal], origin: Optional[str] = None) -> Clause:
-    lits = tuple(literals)
-    if origin is None:
-        origin = "input-ground" if all(
-            l.atom.ground for l in lits) else "input-nonground"
-    return Clause(lits, origin)
-
-
 def _term_tuple_vars(args: tuple[Term, ...]) -> set[Var]:
     out: set[Var] = set()
     stack = [t for t in args if not t.ground]
@@ -359,11 +351,6 @@ def var_counts(obj: Union[Term, Atom]) -> Counter:
         elif not t.ground:
             stack.extend(t.args)
     return counts
-
-
-def term_depth(t: Term) -> int:
-    """Depth of a variable or constant is 0; f(t...) is 1 + max child depth."""
-    return t.depth
 
 
 def symbol_count(obj: Union[Term, Atom]) -> int:

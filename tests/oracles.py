@@ -15,15 +15,37 @@ import time
 from functools import cmp_to_key
 from typing import Iterable, Optional
 
+from trigsat.corpus import CORPORA
 from trigsat.models import ProductionRecord, filter_clause_indexed, int_of
 from trigsat.ordering import (Comparison, compare_atoms, compare_clauses,
                               compare_literals)
-from trigsat.parser import format_clause
+from trigsat.parser import Problem, format_clause, parse_problem
 from trigsat.pipeline import solve_problem
 from trigsat.saturation import (Violation, factor, is_tautology, resolve,
                                 subsumes)
-from trigsat.terms import (App, Atom, Clause, Substitution, Term, Var,
-                           match_literal, vars_of)
+from trigsat.terms import (App, Atom, Clause, Literal, Substitution, Term,
+                           Var, match_literal, vars_of)
+
+
+# -- fixtures -------------------------------------------------------------
+
+def clause(literals: Iterable[Literal],
+           origin: Optional[str] = None) -> Clause:
+    """A clause of the given literals, with the origin the parser gives an
+    input clause of that groundness unless one is given."""
+    lits = tuple(literals)
+    if origin is None:
+        origin = "input-ground" if all(
+            l.atom.ground for l in lits) else "input-nonground"
+    return Clause(lits, origin)
+
+
+def load_corpus(name: str) -> Problem:
+    """A built-in corpus of `trigsat.corpus.CORPORA`, parsed."""
+    if name not in CORPORA:
+        raise ValueError(f"unknown corpus: {name!r} "
+                         f"(available: {', '.join(sorted(CORPORA))})")
+    return parse_problem(CORPORA[name])
 
 
 def truth_table_sat(clauses: list[Clause]) -> Optional[dict[Atom, bool]]:

@@ -12,12 +12,7 @@ import random
 import time
 
 from trigsat.cdcl import Budget, Solver
-from trigsat.corpus import (
-    corpus_ordering,
-    load_corpus,
-    schur_problem,
-    schur_triples,
-)
+from trigsat.corpus import corpus_ordering, schur_problem, schur_triples
 from trigsat.models import Interpretation, combine, verify_no_falsified
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
@@ -35,7 +30,6 @@ from trigsat.terms import (
     Literal,
     Substitution,
     Var,
-    clause,
     const,
     enumerate_ground_instances,
     fn,
@@ -43,9 +37,11 @@ from trigsat.terms import (
 )
 
 from oracles import (
+    clause,
     decode_list,
     encoded_subsumes,
     horn_sat,
+    load_corpus,
     solve_timed,
     three_colorable,
     truth_table_sat,
@@ -256,8 +252,8 @@ def test_criterion_06_subsumption_oracle():
         t2 = _random_encoded_atom(rng, rng.randint(0, 2), False)
         fact = Clause((lit("m", True, t1, t2),), origin="input-ground")
         solver = Solver(ground=matching_ground + [fact], theory=matching,
-                        selection=selection, ordering=WEIGHT,
-                        horn_monitor=True)
+                        selection=selection, ordering=WEIGHT)
+        assert solver.monitors.horn
         run = solver.run()
         assert run.verdict.kind in ("sat", "unsat")
         assert solver.stats.conflicts_above_level0 == 0
@@ -324,8 +320,8 @@ def test_criterion_09_cdcl_monitors():
     for _ in range(200):  # Horn: conflicts stay at level 0
         cs = _random_ground(rng, rng.randint(2, 30), rng.randint(2, 45),
                             4, horn=True)
-        solver = Solver(ground=cs, theory=[], selection={}, ordering=WEIGHT,
-                        horn_monitor=True)
+        solver = Solver(ground=cs, theory=[], selection={}, ordering=WEIGHT)
+        assert solver.monitors.horn
         run = solver.run()
         assert solver.stats.conflicts_above_level0 == 0
         assert solver.stats.monitor_violations == []
@@ -333,8 +329,8 @@ def test_criterion_09_cdcl_monitors():
     for _ in range(200):  # 2SAT: learned clauses have fewer than 2 literals
         cs = _random_ground(rng, rng.randint(2, 30), rng.randint(2, 45),
                             2, twosat=True)
-        solver = Solver(ground=cs, theory=[], selection={}, ordering=WEIGHT,
-                        twosat_monitor=True)
+        solver = Solver(ground=cs, theory=[], selection={}, ordering=WEIGHT)
+        assert solver.monitors.twosat
         solver.run()
         assert all(size < 2 for size in solver.stats.learned_sizes)
         assert solver.stats.monitor_violations == []

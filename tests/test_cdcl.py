@@ -1,7 +1,6 @@
 """CDCL engine: rule mechanics, worked runs, and oracle agreement."""
 
 import gc
-import itertools
 import random
 import time
 import weakref
@@ -12,15 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trigsat.cdcl
-from trigsat.cdcl import Budget, Solver, Trail, Verdict, sort_clause
+from trigsat.cdcl import (Budget, Solver, Trail, Verdict, _Monitors,
+                          sort_clause)
 from trigsat.models import ProductionRecord, produce_model
 from trigsat.ordering import OrderingSpec
 from trigsat.parser import parse_problem
 from trigsat.pipeline import SolveOptions, solve_problem
-from trigsat.terms import (Atom, Clause, Literal, Substitution, Var,
-                           clause, const, fn, match_literal, vars_of)
+from trigsat.terms import (Atom, Clause, Literal, Substitution, Var, const,
+                           fn, match_literal, vars_of)
 
 from oracles import (
+    clause,
     horn_sat,
     ref_decide_choice,
     ref_find_new_instance,
@@ -137,26 +138,100 @@ class TestDecide:
 
 
 class TestMonitorsFire:
-    """The horn and 2sat monitors on inputs outside their fragments."""
+    """Each monitor hook, driven with a hand-built trail, reports its exact
+    message; the Horn and 2SAT monitors only when their fragment is on."""
 
     P, Q, R = (Atom(name, (a,)) for name in "pqr")
+    PQ = Clause((Literal(P, True), Literal(Q, True)))  # 2SAT, not Horn
+    HORN3 = Clause((Literal(P, False), Literal(Q, False), Literal(R, True)))
 
-    def test_horn_monitor_reports_conflict_above_level_zero(self):
-        ground = [Clause((Literal(self.P, sp), Literal(self.Q, sq)))
-                  for sp in (True, False) for sq in (True, False)]
-        s = solver_for(ground, horn_monitor=True)
-        assert s.run().verdict.kind == "unsat"
-        assert s.stats.monitor_violations == [
-            "horn monitor: conflict at level 1 on p(a) | ~q(a)"]
+    def monitors(self, clauses, atoms=()):
+        violations = []
+        return _Monitors(clauses, list(atoms), violations), violations
 
-    def test_twosat_monitor_reports_two_literal_learned_clause(self):
-        ground = [Clause(tuple(map(Literal, (self.P, self.Q, self.R), signs)))
-                  for signs in itertools.product((True, False), repeat=3)]
-        s = solver_for(ground, twosat_monitor=True)
-        assert s.run().verdict.kind == "unsat"
-        assert s.stats.monitor_violations == [
-            "2sat monitor: learned clause p(a) | q(a) has 2 literals",
-            "2sat monitor: learned clause ~p(a) | q(a) has 2 literals"]
+    def trail(self, *levels):
+        """~p(a), ~q(a), ~r(a) decided at the given levels, in order."""
+        t = Trail()
+        for atom, level in zip((self.P, self.Q, self.R), levels):
+            t.push(Literal(atom, False), level, None)
+        return t
+
+    def test_horn_conflict_above_level_zero(self):
+        for clauses, expected in (([], ["horn monitor: conflict at level 1 "
+                                        "on p(a) | q(a)"]),
+                                  ([self.PQ], [])):
+            m, violations = self.monitors(clauses)
+            m.conflict(self.trail(1, 1), self.PQ)
+            assert violations == expected
+
+    def test_conflict_level(self):
+        m, violations = self.monitors([self.PQ])
+        m.conflict(self.trail(1, 2), self.PQ)
+        assert violations == ["conflict-level monitor: two newest falsified "
+                              "literals of p(a) | q(a) at different levels"]
+
+    def test_unit_conflict(self):
+        m, violations = self.monitors([self.PQ])
+        m.conflict(self.trail(1), Clause((Literal(self.P, True),)))
+        assert violations == ["unit-conflict monitor: unit clause p(a) "
+                              "conflicting at level 1"]
+
+    def test_propagation_level(self):
+        m, violations = self.monitors([self.PQ])
+        t = self.trail(1)
+        t.push(Literal(self.R, False), 2, None)
+        m.propagate(t, self.PQ, Literal(self.Q, True))
+        assert violations == ["propagation-level monitor: p(a) | q(a) "
+                              "propagates q(a) at level 2 but its second "
+                              "literal was falsified at level 1"]
+
+    def test_step_count_resets_on_instantiate_and_learn(self):
+        m, violations = self.monitors([self.PQ], [self.P, self.Q])
+        unit = Clause((Literal(self.P, True),))
+        for reset in (m.instantiate, lambda: m.learn(Trail(), unit),
+                      lambda: None):
+            m.step()
+            m.step()
+            reset()
+        m.step()
+        assert violations == ["step-count monitor: 3 decide/propagate steps "
+                              "since the last instantiate/learn with 2 atoms"]
+
+    def test_backjump_count_resets_on_conflict(self):
+        m, violations = self.monitors([self.PQ], [self.P])
+        unit = Clause((Literal(self.P, True),))
+        for _ in range(2):
+            m.conflict(Trail(), unit)
+            m.backjump()
+        m.backjump()
+        assert violations == ["backjump-count monitor: 2 resolution steps "
+                              "in one conflict with 1 atoms"]
+
+    def test_level_zero_learned_clause(self):
+        m, violations = self.monitors([self.HORN3])
+        m.learn(Trail(), self.PQ)
+        assert violations == ["level-zero monitor: learned clause p(a) | q(a) "
+                              "with 2 literals at level 0"]
+
+    def test_twosat_learned_clause_of_two_literals(self):
+        for clauses, expected in (([], ["2sat monitor: learned clause "
+                                        "p(a) | q(a) has 2 literals"]),
+                                  ([self.HORN3], [])):
+            m, violations = self.monitors(clauses)
+            m.learn(self.trail(1, 1, 1), self.PQ)
+            assert violations == expected
+
+    def test_fragment_of_the_input_switches_horn_and_twosat(self):
+        # A Horn and 2SAT ground part with a theory clause of 3 literals.
+        horn3 = parse_problem("*~p(X) | ~q(X) | r(X)\np(a)\n")
+        for ground, theory, expected in (
+                ([self.HORN3], [], (True, False)),
+                ([self.PQ], [], (False, True)),
+                ([self.HORN3, self.PQ], [], (False, False)),
+                ([], [], (True, True)),
+                (horn3.ground, horn3.theory, (True, False))):
+            m = solver_for(ground, theory, horn3.selection).monitors
+            assert (m.horn, m.twosat) == expected
 
 
 class TestPropagate:
@@ -556,7 +631,8 @@ class TestGroundOracleAgreement:
             clauses_ = random_ground_clauses(rng, n_atoms=rng.randint(2, 12),
                                              n_clauses=rng.randint(2, 20),
                                              max_len=4, horn=True)
-            s = solver_for(clauses_, horn_monitor=True)
+            s = solver_for(clauses_)
+            assert s.monitors.horn
             result = s.run()
             assert result.verdict.kind == \
                 ("sat" if horn_sat(clauses_) else "unsat")

@@ -294,6 +294,16 @@ class TestInProcessEntry:
         assert status == 0
         assert capsys.readouterr().out.splitlines()[0] == "sat"
 
+    def test_monitor_violations_print_as_warnings(self, monkeypatch, capsys):
+        def step(monitors):
+            monitors._note("step-count monitor: forced")
+
+        monkeypatch.setattr(trigsat.cdcl._Monitors, "step", step)
+        assert main(["solve", str(PROBLEMS / "ex1.p")]) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines()[0] == "sat"
+        assert err.splitlines() == ["warning: step-count monitor: forced"]
+
 
 WIDE = ("*~p(X1) | *~p(X2) | *~p(X3) | *~p(X4) | *~p(X5) "
         "| *~r(X1, X2, X3, X4, X5)\n"
@@ -398,6 +408,8 @@ BAD_INPUTS = {
     "directory-as-emit-model": ["solve", "problems/ex1.p",
                                 "--emit-model", "{tmp}"],
     "negative-timeout": ["solve", "problems/ex1.p", "--timeout", "-1"],
+    "repeated-precedence": ["solve", "problems/ex1.p", "--precedence",
+                            "g>s>g"],
     "negative-max-instantiations": ["solve", "problems/ex1.p",
                                     "--max-instantiations", "-1"],
     "negative-max-clauses": ["solve", "problems/ex1.p",

@@ -2,15 +2,12 @@
 
 import pytest
 
-from trigsat.corpus import (
-    corpus_ordering,
-    load_corpus,
-    schur_problem,
-    schur_triples,
-)
+from trigsat.corpus import corpus_ordering, schur_problem, schur_triples
 from trigsat.pipeline import SolveOptions, check_problem_saturated
 from trigsat.saturation import SaturationOutcome
 from trigsat.selection import validate_selection
+
+from oracles import load_corpus
 
 
 class TestLoadCorpus:

@@ -21,14 +21,13 @@ from trigsat.terms import (
     Literal,
     Signature,
     Var,
-    clause,
     const,
     enumerate_ground_instances,
     fn,
     vars_of,
 )
 
-from oracles import filter_clause, filter_set, ref_produce_model
+from oracles import clause, filter_clause, filter_set, ref_produce_model
 from strategies import (
     clauses,
     ground_literals,

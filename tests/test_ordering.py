@@ -27,13 +27,13 @@ from trigsat.terms import (
     Clause,
     Literal,
     Var,
-    clause,
     const,
     fn,
     symbol_count,
 )
 
-from oracles import _ref_weight, ref_compare_atoms, ref_compare_clauses
+from oracles import (_ref_weight, clause, ref_compare_atoms,
+                     ref_compare_clauses)
 from strategies import (
     atoms,
     ground_atoms,
@@ -309,6 +309,10 @@ class TestWeightsAreCopied:
     def test_zero_weight_still_refused(self):
         with pytest.raises(ValueError, match=">= 1"):
             OrderingSpec(weights={"f": 0})
+
+    def test_symbol_listed_twice_in_precedence_refused(self):
+        with pytest.raises(ValueError, match="precedence lists 'p' twice"):
+            OrderingSpec(precedence=("p", "q", "p"))
 
     def test_specs_with_equal_weights_are_equal(self):
         assert (OrderingSpec(weights={"f": 2}, precedence=("f",))

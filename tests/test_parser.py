@@ -5,7 +5,7 @@ import pytest
 from trigsat.parser import (
     ParseError,
     format_clause,
-    format_model,
+    model_lines,
     parse_model_text,
     parse_problem,
 )
@@ -104,7 +104,7 @@ class TestModelFiles:
         assert lits == [lit("p", False, fn("f", const("a")),
                             fn("f", const("b"))),
                         lit("q", False, fn("f", const("a")), const("b"))]
-        assert format_model(lits) == text
+        assert "".join(model_lines(lits)) == text
 
     def test_nonground_rejected(self):
         with pytest.raises(ParseError, match="ground"):
@@ -128,4 +128,4 @@ class TestDeepTerms:
     def test_deep_model_literal(self):
         text = "~p(" + "f(" * 5000 + "a" + ")" * 5000 + ")\n"
         lits = parse_model_text(text)
-        assert format_model(lits) == text
+        assert "".join(model_lines(lits)) == text

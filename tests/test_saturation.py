@@ -28,14 +28,15 @@ from trigsat.terms import (
     Signature,
     Substitution,
     Var,
-    clause,
     const,
     enumerate_ground_instances,
     fn,
 )
 
 from oracles import (
+    clause,
     evaluate_clause,
+    load_corpus,
     ref_check_saturated,
     ref_pick_given,
     ref_subsumes,
@@ -543,7 +544,7 @@ class TestPinnedCorpusCounts:
     so any change in the order of inferences shows up here."""
 
     def test_settheory_maximal_saturation(self):
-        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.corpus import corpus_ordering
         from trigsat.pipeline import SolveOptions, solve_problem
 
         options = SolveOptions(select="maximal",
@@ -556,7 +557,7 @@ class TestPinnedCorpusCounts:
             "forward_subsumed": 124, "backward_subsumed": 0}
 
     def test_subsumption_maximal_saturation_hits_budget(self):
-        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.corpus import corpus_ordering
         from trigsat.pipeline import SolveOptions, solve_problem
         from trigsat.cdcl import Budget
 
@@ -569,7 +570,7 @@ class TestPinnedCorpusCounts:
         assert len(report.clauses) == 127
 
     def test_check_saturated_inference_counts(self):
-        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.corpus import corpus_ordering
         from trigsat.pipeline import SolveOptions, check_problem_saturated
 
         for name, inferences in (("settheory", 10), ("subsumption", 13)):
@@ -590,7 +591,7 @@ class TestPinnedCorpusCounts:
     ])
     def test_saturation_keeps_pinned_clauses_in_order(self, name, corpus,
                                                       cap):
-        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.corpus import corpus_ordering
         from trigsat.pipeline import SolveOptions, solve_problem
         from trigsat.cdcl import Budget
 
@@ -607,7 +608,7 @@ class TestPinnedCorpusCounts:
         # The saturated settheory theory re-derives 235 inferences, each
         # subsumed in the set: a subsumption filter that refuses a true
         # subsumer reports a violation here.
-        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.corpus import corpus_ordering
         from trigsat.pipeline import SolveOptions, solve_problem
 
         ordering = corpus_ordering("settheory")
@@ -623,7 +624,7 @@ class TestPinnedCorpusCounts:
         from unittest import mock
 
         import trigsat.saturation
-        from trigsat.corpus import corpus_ordering, load_corpus
+        from trigsat.corpus import corpus_ordering
         from trigsat.pipeline import SolveOptions, solve_problem
         from trigsat.cdcl import Budget
 

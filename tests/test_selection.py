@@ -13,8 +13,9 @@ from trigsat.selection import (
     extend_selection,
     validate_selection,
 )
-from trigsat.terms import Atom, Literal, Var, clause, const, fn, vars_of
+from trigsat.terms import Atom, Literal, Var, const, fn, vars_of
 
+from oracles import clause
 from strategies import clauses
 
 X1, Y1, X2, Y2 = Var("X1"), Var("Y1"), Var("X2"), Var("Y2")

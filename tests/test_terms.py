@@ -15,7 +15,6 @@ from trigsat.terms import (
     Substitution,
     Var,
     canonicalize,
-    clause,
     const,
     enumerate_ground_instances,
     fn,
@@ -24,13 +23,13 @@ from trigsat.terms import (
     match_literal,
     preorder,
     symbol_count,
-    term_depth,
     unify,
     vars_of,
 )
 
 from oracles import (
     apply,
+    clause,
     compose,
     ground_terms_by_depth,
     match_onto,
@@ -254,7 +253,7 @@ class TestGroundEnumeration:
     def test_deterministic_order(self):
         sig = self.sig({"a": 0, "b": 0, "g": 1})
         assert ground_terms(sig, 2) == ground_terms(sig, 2)
-        depths = [term_depth(t) for t in ground_terms(sig, 2)]
+        depths = [t.depth for t in ground_terms(sig, 2)]
         assert depths == sorted(depths)
 
     @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -323,7 +322,7 @@ class TestHashConsing:
         rebuilt = ref_rebuild(t)
         assert rebuilt is t
         assert hash(rebuilt) == hash(t)
-        assert term_depth(t) == ref_depth(t)
+        assert t.depth == ref_depth(t)
         assert t.ground == ref_ground(t)
         assert symbol_count(t) == ref_symbol_count(t)
         if t.ground:
@@ -361,7 +360,7 @@ class TestDeepTerms:
             preorder(Atom("p", (deep_b, a)))
         assert vars_of(nest(self.DEPTH, X)) == {X}
         assert vars_of(deep_a) == set()
-        assert term_depth(deep_a) == self.DEPTH
+        assert deep_a.depth == self.DEPTH
 
     def test_subterms(self):
         deep = nest(self.DEPTH, X)
