@@ -34,13 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sized
 
-from .ordering import (
-    Comparison,
-    OrderingSpec,
-    atom_order_key,
-    compare_atoms,
-    total_on_ground,
-)
+from .ordering import OrderingSpec, atom_order_key
 from .terms import (
     App,
     Atom,
@@ -48,7 +42,6 @@ from .terms import (
     Literal,
     Substitution,
     match_literal,
-    preorder,
 )
 
 
@@ -190,8 +183,9 @@ def _candidate_key(pattern: Literal) -> tuple:
 
 
 class _DecideHeap:
-    """The atoms of G by order key, under a total order: it holds every
-    unassigned atom of G once, and an assigned one until it is popped."""
+    """The atoms of G by order key (`atom_order_key`), under either order:
+    it holds every unassigned atom of G once, and an assigned one until it
+    is popped.  Under the subterm order the least key is a minimal atom."""
 
     def __init__(self, o: OrderingSpec, atoms: dict[Atom, None]) -> None:
         self.o, self.atoms = o, atoms  # G's atoms, shared with the solver
@@ -299,10 +293,8 @@ class Solver:
                           if deadline is None else deadline)
         # The atoms of G in first-seen order; G only grows.
         self._atoms: dict[Atom, None] = {}
-        # Decide reads a heap under a total order; the subterm order scans.
-        self._heap = (_DecideHeap(ordering, self._atoms)
-                      if total_on_ground(ordering) else None)
-        self.trail = Trail(None if self._heap is None else self._heap.push)
+        self._heap = _DecideHeap(ordering, self._atoms)
+        self.trail = Trail(self._heap.push)
         self.lc: Optional[Clause] = None
         self.stats = RunStats()
         self.trace: list[str] = []
@@ -337,8 +329,7 @@ class Solver:
         self.ground.append(slim)
         new = [lit.atom for lit in slim.literals if lit.atom not in self._atoms]
         self._atoms.update(dict.fromkeys(new))
-        if self._heap is not None:
-            self._heap.push(new)
+        self._heap.push(new)
         return slim
 
     def _emit(self, fmt: str, *args: object) -> None:
@@ -401,30 +392,18 @@ class Solver:
             return True
         return False
 
-    def decide(self, _guard_checked: bool = False) -> bool:
-        """Decide: set the smallest unassigned atom false, one level deeper.
+    def decide(self) -> bool:
+        """Decide: set the unassigned atom of G with the least order key
+        false, one level deeper.  Under the subterm order that atom is a
+        minimal one.
 
         Only applicable when no propagation or conflict is pending; the
-        main loop establishes that by rule priority and skips the check.
+        main loop establishes that by rule priority, so it is not checked.
         """
         assert self.lc is None
-        if not _guard_checked and any(
-                self._unit_or_false(c) is not None for c in self.ground):
-            raise RuntimeError(
-                "decide blocked: a propagation or conflict is pending")
-        if self._heap is not None:
-            best = self._heap.least(self.trail)  # stays queued until popped
-            if best is None:
-                return False
-        else:
-            unassigned = [a for a in self._atoms if not self.trail.defines(a)]
-            if not unassigned:
-                return False
-            unassigned.sort(key=preorder)
-            best = unassigned[0]
-            for a in unassigned[1:]:
-                if compare_atoms(self.ordering, a, best) is Comparison.LT:
-                    best = a
+        best = self._heap.least(self.trail)  # stays queued until popped
+        if best is None:
+            return False
         level = self.trail.level + 1
         self.trail.push(Literal(best, False), level, None)
         self.stats.decides += 1
@@ -596,11 +575,9 @@ class Solver:
                 # Lazy mode has decided every atom before it instantiates;
                 # eager mode decides only when no new instance exists.
                 elif not (self.find_conflict() or self.propagate()
-                          or (self.mode == "lazy"
-                              and self.decide(_guard_checked=True))
+                          or (self.mode == "lazy" and self.decide())
                           or self.instantiate_step() == "added"
-                          or (self.mode == "eager"
-                              and self.decide(_guard_checked=True))):
+                          or (self.mode == "eager" and self.decide())):
                     return finish(Verdict("sat", tuple(self.trail.literals())),
                                   "succeed")
         except BudgetExceeded as exc:

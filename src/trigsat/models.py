@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .ordering import (
-    OrderingSpec,
-    clause_order_key,
-    literal_order_key,
-    total_on_ground,
-)
+from .ordering import OrderingSpec, clause_order_key, literal_order_key
 from .terms import (
     Atom,
     Clause,
@@ -150,11 +145,11 @@ def produce_model(fs: list[tuple[Clause, frozenset[int]]], o: OrderingSpec
     from the parent non-ground clause).  A clause produces its largest
     positive literal when the partial interpretation built so far does not
     satisfy the clause, the literal is selected, and it occurs exactly once.
-    Returns the final interpretation and a per-clause record.  The order
-    must be total on ground clauses; multiset-equal ones run by cid.
+    Returns the final interpretation and a per-clause record.  Clauses run
+    in the order of their keys (`clause_order_key`), multiset-equal ones by
+    cid: under the weight order that is its order on ground clauses, and
+    under the subterm order a total extension of it.
     """
-    if not total_on_ground(o):
-        raise ValueError("ordering not total on ground clauses")
     ordered = sorted(fs, key=lambda e: (clause_order_key(o, e[0]), e[0].cid))
     produced: list[Literal] = []
     true_atoms: set[Atom] = set()

@@ -10,9 +10,9 @@ Two built-ins:
 * ``subterm``: within one predicate, p(s1,...,sn) <= p(t1,...,tn) iff each
   si is a subterm of ti; across equal-arity predicates the same pointwise
   rule applies with precedence breaking argument-equal ties; otherwise two
-  ground atoms of equal weight compare by precedence.  Polynomial: the
-  atoms strictly below an atom are bounded by the product of its subterm
-  counts (times the number of predicates).
+  ground atoms of equal argument weight compare by precedence.
+  Polynomial: the atoms strictly below an atom are bounded by the product
+  of its subterm counts (times the number of predicates).
 
 ``precedence_dominant`` lifts predicate precedence above everything else,
 so r(t1) > q(t2) whenever r > q, for all arguments.  That ordering is
@@ -23,11 +23,12 @@ Comparisons are stable under substitution: s < t implies sθ < tθ.
 INCOMPARABLE is an explicit verdict, and maximality below uses "no
 strictly greater clause-mate" so partial orders need no totalization.
 
-Where an ordering is total on ground atoms (`total_on_ground`: the weight
-order), ground atoms, literals and clauses also have sort keys that
-compare as the comparisons here do.  They serve the CDCL decide heap and
-model production, so that a minimum or a sort costs one key each instead
-of pairwise comparisons.
+Ground atoms, literals and clauses also have sort keys.  Under the weight
+order they compare as the comparisons here do; under the subterm order
+they are a total extension of it, which orders every strictly comparable
+pair as `compare_atoms` does.  They serve the CDCL decide heap and model
+production, so that a minimum or a sort costs one key each instead of
+pairwise comparisons.
 """
 
 from __future__ import annotations
@@ -193,8 +194,12 @@ def term_weight(o: OrderingSpec, t: Term) -> int:
     return _term_entry(o, t)[0]
 
 
+def _args_weight(o: OrderingSpec, a: Atom) -> int:
+    return sum(term_weight(o, t) for t in a.args)
+
+
 def atom_weight(o: OrderingSpec, a: Atom) -> int:
-    return o.symbol_weight(a.pred) + sum(term_weight(o, t) for t in a.args)
+    return o.symbol_weight(a.pred) + _args_weight(o, a)
 
 
 def _covers(big: Counter, small: Counter) -> bool:
@@ -311,7 +316,7 @@ def compare_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
             return o.compare_symbols(a.pred, b.pred)
         if c is not None:
             return c
-    if a.ground and b.ground and atom_weight(o, a) == atom_weight(o, b):
+    if a.ground and b.ground and _args_weight(o, a) == _args_weight(o, b):
         return o.compare_symbols(a.pred, b.pred)
     return Comparison.INCOMPARABLE
 
@@ -326,23 +331,19 @@ def compare_literals(o: OrderingSpec, l1: Literal, l2: Literal) -> Comparison:
     return Comparison.LT if l1.positive else Comparison.GT
 
 
-def total_on_ground(o: OrderingSpec) -> bool:
-    """Whether o is total on ground atoms, so that the `*_order_key`
-    functions stand in for its comparisons there.  The weight order is;
-    the subterm order is partial and has no keys."""
-    return o.kind == "weight"
-
-
 def atom_order_key(o: OrderingSpec, a: Atom) -> tuple:
-    """The key of ground atom a under the weight order o: keys of two
-    ground atoms compare as `compare_atoms` does, and are equal only for
-    the same atom.  Cached per spec."""
+    """The key of ground atom a under o, equal only for the same atom.
+    Under the weight order keys compare as `compare_atoms` does; under the
+    subterm order, whose weight ties count the arguments alone, they order
+    each strictly comparable pair as it does.  Cached per spec."""
     key = o._keys.get(a)
     if key is None:
         if not a.ground:
             raise ValueError(f"order keys are for ground atoms only: {a}")
         args = tuple(_term_entry(o, t) for t in a.args)
-        weight = o.symbol_weight(a.pred) + sum(k[0] for k in args)
+        weight = sum(k[0] for k in args)
+        if o.kind == "weight":
+            weight += o.symbol_weight(a.pred)
         head = o.prec_key(a.pred)
         key = o._keys[a] = ((head, weight, args) if o.precedence_dominant
                             else (weight, head, args))
@@ -356,9 +357,10 @@ def literal_order_key(o: OrderingSpec, lit: Literal) -> tuple:
 
 
 def clause_order_key(o: OrderingSpec, c: Clause) -> tuple:
-    """The literal keys of ground clause c in descending order.  For a
-    total order the multiset extension is lexicographic on this sequence,
-    so these keys compare as `compare_clauses` does."""
+    """The literal keys of ground clause c in descending order.  The
+    multiset extension of a total order is lexicographic on this sequence,
+    so these keys compare as `compare_clauses` does under the weight order
+    and extend it under the subterm order."""
     return tuple(sorted((literal_order_key(o, l) for l in c.literals),
                         reverse=True))
 

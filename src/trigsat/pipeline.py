@@ -182,10 +182,6 @@ def verify_model(problem: Problem, model_literals: list[Literal],
     under their selection, combines it with the given ground model, and
     reports any instance of the input theory the combination falsifies.
     """
-    if options.ordering.kind == "subterm":
-        raise ContractError("cannot build the candidate model: the subterm "
-                            "ordering is not total on ground clauses (use "
-                            "--order weight)")
     saturation = prepare_theory(
         problem, options, time.monotonic() + options.budget.timeout)
     if saturation.outcome is SaturationOutcome.DERIVED_BOTTOM:

@@ -7,8 +7,8 @@ object and equal subterms are shared.  Equality and hash are therefore
 object identity, which plays the part of the paper's unique tags.  A term
 computes at construction, from its children's cached fields, its ground
 flag, its depth and its symbol count.  Nodes must never be mutated.  Where
-a deterministic order on ground terms or atoms is needed, `preorder` lists
-their symbols as a flat tuple on demand.
+a deterministic order on ground terms is needed, `preorder` lists their
+symbols as a flat tuple on demand.
 
 Clauses are multisets of literals (duplicates are preserved); equality and
 hashing go through a canonical multiset key, the literals in identity
@@ -199,17 +199,17 @@ class Literal(_Node):
         return str(self.atom) if self.positive else f"~{self.atom}"
 
 
-def preorder(obj: Union[App, Atom]) -> tuple[str, ...]:
-    """The symbols of a ground term or atom in preorder.  With one arity
-    per symbol (as `Signature` enforces) these flat tuples order ground
-    terms, and atoms, as their structure does lexicographically, and they
-    compare in C without recursion at any depth."""
-    out = [obj.pred if isinstance(obj, Atom) else obj.fn]
-    stack = list(reversed(obj.args))
+def preorder(t: App) -> tuple[str, ...]:
+    """The symbols of ground term t in preorder.  With one arity per
+    symbol (as `Signature` enforces) these flat tuples order ground terms
+    as their structure does lexicographically, and they compare in C
+    without recursion at any depth."""
+    out = [t.fn]
+    stack = list(reversed(t.args))
     while stack:
-        t = stack.pop()
-        out.append(t.fn)
-        stack.extend(reversed(t.args))
+        u = stack.pop()
+        out.append(u.fn)
+        stack.extend(reversed(u.args))
     return tuple(out)
 
 

@@ -17,8 +17,7 @@ from typing import Iterable, Optional
 
 from trigsat.corpus import CORPORA
 from trigsat.models import ProductionRecord, filter_clause_indexed, int_of
-from trigsat.ordering import (Comparison, compare_atoms, compare_clauses,
-                              compare_literals)
+from trigsat.ordering import Comparison, compare_clauses, compare_literals
 from trigsat.parser import Problem, format_clause, parse_problem
 from trigsat.pipeline import solve_problem
 from trigsat.saturation import (Violation, factor, is_tautology, resolve,
@@ -411,20 +410,13 @@ def _ref_atom_key(a: Atom) -> tuple:
 
 
 def ref_decide_choice(o, atoms: list[Atom]) -> Atom:
-    """The atom `Solver.decide` sets false among the unassigned `atoms`.
-    The subterm order has no reference here, so under it the scan
-    compares with the library's `compare_atoms`."""
+    """The atom `Solver.decide` sets false among the unassigned `atoms`,
+    under a weight order o."""
     weights = dict(o.weights)
-
-    def below(x: Atom, y: Atom) -> bool:
-        c = (compare_atoms(o, x, y) if o.kind == "subterm"
-             else ref_compare_atoms(o, weights, x, y))
-        return c is Comparison.LT
-
     unassigned = sorted(atoms, key=_ref_atom_key)
     best = unassigned[0]
     for a in unassigned[1:]:
-        if below(a, best):
+        if ref_compare_atoms(o, weights, a, best) is Comparison.LT:
             best = a
     return best
 

@@ -77,14 +77,18 @@ SYMBOLS = ("f", "g", "a", "b", "p", "q", "r")
 
 
 @st.composite
-def weight_orderings(draw):
-    """A weight ordering with random weights, precedence and dominance."""
+def orderings(draw, kind: str):
+    """An ordering of `kind` with random weights, precedence and dominance."""
     weights = draw(st.dictionaries(st.sampled_from(SYMBOLS),
                                    st.integers(1, 4), max_size=4))
     precedence = draw(st.permutations(SYMBOLS))[:draw(st.integers(0, 7))]
-    return OrderingSpec(kind="weight", weights=weights,
+    return OrderingSpec(kind=kind, weights=weights,
                         precedence=tuple(precedence),
                         precedence_dominant=draw(st.booleans()))
+
+
+def weight_orderings():
+    return orderings("weight")
 
 
 # -- deeper terms, for the per-symbol subsumption counts ---------------

@@ -6,7 +6,6 @@ import time
 import weakref
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +13,7 @@ import trigsat.cdcl
 from trigsat.cdcl import (Budget, Solver, Trail, Verdict, _Monitors,
                           sort_clause)
 from trigsat.models import ProductionRecord, produce_model
-from trigsat.ordering import OrderingSpec
+from trigsat.ordering import Comparison, OrderingSpec, compare_atoms
 from trigsat.parser import parse_problem
 from trigsat.pipeline import SolveOptions, solve_problem
 from trigsat.terms import (Atom, Clause, Literal, Substitution, Var, const,
@@ -34,6 +33,7 @@ from strategies import (
     ground_atoms,
     ground_literals,
     nested_terms,
+    orderings,
     terms,
     weight_orderings,
 )
@@ -130,11 +130,6 @@ class TestDecide:
         s = solver_for([clause([prop("a")])])
         s.trail.push(prop("a"), 0, None)
         assert not s.decide()
-
-    def test_rejected_while_propagation_pending(self):
-        s = solver_for([clause([prop("a")]), clause([prop("b"), prop("c")])])
-        with pytest.raises(RuntimeError, match="pending"):
-            s.decide()
 
 
 class TestMonitorsFire:
@@ -683,35 +678,37 @@ class TestOrderKeysAgainstReference:
         s = Solver(ground=[Clause(tuple(Literal(x) for x in pool))],
                    theory=[], selection={}, ordering=o)
         s.trail = _trail_over(assigned)
-        assert s.decide(_guard_checked=True)
+        assert s.decide()
         best = ref_decide_choice(o, [x for x in pool if x not in assigned])
         assert s.trail.literals()[-1] is Literal(best, False)
 
 
 class TestSubtermDecideAgainstReference:
-    """Under the subterm order `decide` scans the unassigned atoms of G in
-    structural order and moves to each atom below its current pick, so
-    the structural order breaks ties between incomparable minima."""
+    """Under the subterm order `decide` pops the least order key, a total
+    extension of the order: the atom it sets false is minimal among G's
+    unassigned atoms, and the key breaks ties between incomparable minima."""
 
     def test_incomparable_minima(self):
         pab, pba = Atom("p", (a, b)), Atom("p", (b, a))
         s = Solver(ground=[Clause((Literal(pba), Literal(pab)))],
                    theory=[], selection={}, ordering=SUBTERM)
-        assert s.decide(_guard_checked=True)
+        assert s.decide()
         assert s.trail.literals() == [Literal(pab, False)]
 
-    @given(st.lists(ground_atoms(max_depth=2), min_size=1, max_size=8,
-                    unique=True), st.data())
-    def test_decide_matches_reference_scan(self, pool, data):
+    @given(orderings("subterm"), st.lists(ground_atoms(max_depth=2),
+                                          min_size=1, max_size=8,
+                                          unique=True), st.data())
+    def test_decided_atom_is_minimal(self, o, pool, data):
         assigned = data.draw(st.lists(st.sampled_from(pool), unique=True,
                                       max_size=len(pool) - 1))
         s = Solver(ground=[Clause(tuple(Literal(x) for x in pool))],
-                   theory=[], selection={}, ordering=SUBTERM)
+                   theory=[], selection={}, ordering=o)
         s.trail = _trail_over(assigned)
-        assert s.decide(_guard_checked=True)
-        best = ref_decide_choice(SUBTERM,
-                                 [x for x in pool if x not in assigned])
-        assert s.trail.literals()[-1] is Literal(best, False)
+        assert s.decide()
+        best = s.trail.literals()[-1]
+        assert not best.positive and best.atom not in assigned
+        assert not any(compare_atoms(o, x, best.atom) is Comparison.LT
+                       for x in pool if x not in assigned)
 
 
 class TestDecideHeap:
@@ -736,7 +733,7 @@ class TestDecideHeap:
                           if x in g_atoms and not s.trail.defines(x)]
             free = [x for x in pool if not s.trail.defines(x)]
             if op == "decide":
-                assert s.decide(_guard_checked=True) == bool(unassigned)
+                assert s.decide() == bool(unassigned)
                 if unassigned:
                     best = ref_decide_choice(o, unassigned)
                     assert s.trail.literals()[-1] is Literal(best, False)
@@ -762,13 +759,13 @@ class TestDecideHeap:
         s = solver_for([clause([pc])])
         s.trail.push(pa, 0, None)  # a is not in G yet
         s._add_ground(clause([pa, pb]))
-        while s.decide(_guard_checked=True):
+        while s.decide():
             pass
         assert len(s.trail.entries) == 3
         s.trail.clear()
         left = [pa.atom, pb.atom, pc.atom]
         while left:
-            assert s.decide(_guard_checked=True)
+            assert s.decide()
             best = ref_decide_choice(WEIGHT, left)
             assert s.trail.literals()[-1] is Literal(best, False)
             left.remove(best)
@@ -789,29 +786,29 @@ class TestDeepAtomsOfEqualWeight:
 
     def test_decide(self):
         s = solver_for([Clause((Literal(self.DEEP_B), Literal(self.DEEP_A)))])
-        assert s.decide(_guard_checked=True)
+        assert s.decide()
         assert s.trail.literals() == [Literal(self.DEEP_A, False)]
 
     def test_decide_under_subterm_order(self):
-        # Incomparable: the structural order picks the one ending in a.
+        # Incomparable: the key picks the one ending in a.
         s = Solver(ground=[Clause((Literal(self.DEEP_B),
                                    Literal(self.DEEP_A)))],
                    theory=[], selection={}, ordering=SUBTERM)
-        assert s.decide(_guard_checked=True)
+        assert s.decide()
         assert s.trail.literals() == [Literal(self.DEEP_A, False)]
 
     def test_decide_after_cuts(self):
         na, nb = Literal(self.DEEP_A, False), Literal(self.DEEP_B, False)
         s = solver_for([Clause((Literal(self.DEEP_B), Literal(self.DEEP_A)))])
-        assert s.decide(_guard_checked=True)
-        assert s.decide(_guard_checked=True)
-        assert not s.decide(_guard_checked=True)
+        assert s.decide()
+        assert s.decide()
+        assert not s.decide()
         assert s.trail.literals() == [na, nb]
         s.trail.truncate_keep(1)
-        assert s.decide(_guard_checked=True)
+        assert s.decide()
         assert s.trail.literals() == [na, nb]
         s.trail.clear()
-        assert s.decide(_guard_checked=True)
+        assert s.decide()
         assert s.trail.literals() == [na]
 
     def test_sort_clause(self):

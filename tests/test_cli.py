@@ -163,28 +163,29 @@ class TestVerifyModel:
             assert proc.returncode == 0, depth
             assert proc.stdout.splitlines()[0] == "ok", depth
 
-    def test_verify_subterm_order_is_contract_error(self, tmp_path):
+    def test_verify_subterm_order_on_a_chain(self, tmp_path):
+        chain = chain_file(tmp_path, 5)
         model = tmp_path / "model.lits"
-        model.write_text("g(a, b)\n")
-        proc = run_cli(["verify-model", "problems/ex1.p", "--order", "subterm",
-                        "--model", str(model), "--verify-depth", "1"])
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "--order weight" in proc.stderr
+        proc = run_cli(["solve", str(chain), "--order", "subterm",
+                        "--emit-model", str(model)])
+        assert proc.stdout.splitlines()[0] == "sat"
+        for depth in ("1", "2"):
+            proc = run_cli(["verify-model", str(chain), "--order", "subterm",
+                            "--model", str(model), "--verify-depth", depth])
+            assert proc.returncode == 0, depth
+            assert proc.stdout.splitlines()[0] == "ok", depth
 
-    def test_verify_subterm_refusal_does_not_depend_on_instances(self,
-                                                                 tmp_path):
+    def test_verify_subterm_order_on_a_satisfied_instance(self, tmp_path):
         # The model satisfies the only instance, so no clause is left to
-        # compare: the refusal must come before any grounding.
+        # produce from.
         problem = tmp_path / "pq.p"
         problem.write_text("*~p(X) | q(X)\np(a)\n")
         model = tmp_path / "model.lits"
         model.write_text("p(a)\nq(a)\n")
         proc = run_cli(["verify-model", str(problem), "--order", "subterm",
                         "--model", str(model), "--verify-depth", "1"])
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert "--order weight" in proc.stderr
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "ok"
 
     def test_verify_bottom_theory_is_contract_error(self, tmp_path):
         problem = tmp_path / "bottom.p"

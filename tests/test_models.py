@@ -1,5 +1,7 @@
 """Interpretations, filtering, the production construction, verification."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from trigsat.terms import (
 
 from oracles import clause, filter_clause, filter_set, ref_produce_model
 from strategies import (
+    PREDICATES,
     clauses,
     ground_literals,
     ground_substitutions,
@@ -180,14 +183,6 @@ class TestProduceModel:
             if r.produced:
                 assert model.value(Literal(r.atom)) is True
 
-    @pytest.mark.parametrize("entries", [
-        [], [(clause([p(a)]), frozenset({0}))]])
-    def test_refuses_an_order_not_total_on_ground_clauses(self, entries):
-        # Checked up front: the subterm order refuses even inputs whose
-        # clauses happen to compare.
-        with pytest.raises(ValueError, match="not total on ground clauses"):
-            produce_model(entries, OrderingSpec(kind="subterm"))
-
 
 @st.composite
 def production_inputs(draw):
@@ -216,6 +211,15 @@ class TestProduceModelReference:
         assert model == ref_model
         assert ([(r.clause.cid, r.produced, r.atom) for r in records]
                 == [(r.clause.cid, r.produced, r.atom) for r in ref_records])
+
+    @given(production_inputs(), weight_orderings())
+    def test_subterm_order_builds_the_weight_orders_model(self, entries, o):
+        # With no predicate weight every atom's subterm key is its weight
+        # key less one in the weight, so both orders run the clauses alike.
+        weights = {s: w for s, w in o.weights.items() if s not in PREDICATES}
+        o = replace(o, weights=weights)
+        model, records = produce_model(entries, replace(o, kind="subterm"))
+        assert (model, records) == produce_model(entries, o)
 
 
 class TestFilteringInvariants:

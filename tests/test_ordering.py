@@ -19,7 +19,6 @@ from trigsat.ordering import (
     maximal_literals,
     maximum_literal,
     term_weight,
-    total_on_ground,
 )
 from trigsat.terms import (
     App,
@@ -39,6 +38,7 @@ from strategies import (
     ground_atoms,
     ground_literals,
     ground_substitutions,
+    orderings,
     terms,
     weight_orderings,
 )
@@ -92,6 +92,18 @@ class TestCompareAtoms:
         p_atom = Atom("p", (X, Y))
         q_atom = Atom("q", (fn("f", X), Y))
         assert compare_atoms(SUBTERM, p_atom, q_atom) is Comparison.LT
+
+    def test_subterm_predicate_weight_makes_no_cycle(self):
+        # Precedence ties across predicates read the arguments' weight
+        # alone: counting p's weight would make p(a) > r(b,b,b,b,b) too,
+        # closing a cycle.
+        o = OrderingSpec(kind="subterm", precedence=("p", "r", "q"),
+                         weights={"p": 5})
+        pa, rb = Atom("p", (a,)), Atom("r", (b,) * 5)
+        qf = Atom("q", (nest(4, a),))
+        assert compare_atoms(o, rb, qf) is Comparison.GT
+        assert compare_atoms(o, qf, pa) is Comparison.GT
+        assert compare_atoms(o, pa, rb) is Comparison.INCOMPARABLE
 
 
 class TestCompareLiterals:
@@ -335,12 +347,17 @@ def nest(depth, t, name="f"):
 
 class TestGroundOrderKeys:
     """Under the weight order, ground atoms, literals and clauses have keys
-    that compare as the pairwise comparisons do."""
+    that compare as the pairwise comparisons do; under the subterm order,
+    keys that order every strictly comparable pair as they do."""
 
-    def test_only_the_weight_order_has_keys(self):
-        assert total_on_ground(WEIGHT)
-        assert total_on_ground(COUNTERSEL)
-        assert not total_on_ground(SUBTERM)
+    @given(orderings("subterm"), st.lists(ground_atoms(max_depth=3),
+                                          min_size=2, max_size=8))
+    def test_subterm_keys_extend_compare_atoms(self, o, pool):
+        for a1, a2 in itertools.product(pool, repeat=2):
+            c = compare_atoms(o, a1, a2)
+            if c is not Comparison.INCOMPARABLE:
+                assert _order(atom_order_key(o, a1),
+                              atom_order_key(o, a2)) is c
 
     @given(weight_orderings(), st.lists(ground_atoms(max_depth=3),
                                         min_size=2, max_size=6))

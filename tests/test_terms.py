@@ -356,8 +356,6 @@ class TestDeepTerms:
         assert preorder(deep_a) == preorder(nest(self.DEPTH, a))
         assert sorted([preorder(deep_b), preorder(a), preorder(deep_a)]) == \
             [preorder(a), preorder(deep_a), preorder(deep_b)]
-        assert preorder(Atom("p", (deep_a, b))) < \
-            preorder(Atom("p", (deep_b, a)))
         assert vars_of(nest(self.DEPTH, X)) == {X}
         assert vars_of(deep_a) == set()
         assert deep_a.depth == self.DEPTH
