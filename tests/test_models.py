@@ -183,6 +183,14 @@ class TestProduceModel:
             if r.produced:
                 assert model.value(Literal(r.atom)) is True
 
+    @pytest.mark.parametrize("entries, produced", [
+        ([], []), ([(clause([p(a)]), frozenset({0}))], [p(a)])])
+    def test_subterm_order_on_ground_clauses(self, entries, produced):
+        # The subterm order builds a model as the weight order does.
+        model, records = produce_model(entries, OrderingSpec(kind="subterm"))
+        assert model == Interpretation(produced)
+        assert [r.produced for r in records] == [True] * len(produced)
+
 
 @st.composite
 def production_inputs(draw):
