@@ -5,19 +5,26 @@ paths it checks: truth tables by exhaustive enumeration, Horn
 satisfiability by forward-chaining to a least fixpoint, ground term
 enumeration by direct recursion on the depth definition, and clause
 subsumption for the encoded list representation by trying every atom
-assignment.
+assignment.  `RefSolver` is the exception: a frozen copy of an earlier
+CDCL engine, which the live one must match run for run.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 import time
 from functools import cmp_to_key
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
+from trigsat.cdcl import (MAX_CONFLICTS, Budget, BudgetExceeded, RunResult,
+                          RunStats, TrailEntry, Verdict, _candidate_key,
+                          _Monitors, _slim, sort_clause)
 from trigsat.corpus import CORPORA
 from trigsat.models import ProductionRecord, filter_clause_indexed, int_of
-from trigsat.ordering import Comparison, compare_clauses, compare_literals
+from trigsat.ordering import (Comparison, OrderingSpec, atom_order_key,
+                              compare_clauses, compare_literals)
 from trigsat.parser import Problem, format_clause, parse_problem
 from trigsat.pipeline import solve_problem
 from trigsat.saturation import (Violation, factor, is_tautology, resolve,
@@ -586,3 +593,409 @@ def solve_timed(problem, options):
     started = time.monotonic()
     result = solve_problem(problem, options)
     return result, time.monotonic() - started
+
+
+# -- the CDCL engine as it was before the one-pass Conflict/Propagate ------
+
+class RefTrail:
+    """`trigsat.cdcl.Trail` with its index keyed by literal.  Assignment
+    list, oldest first; exposes recency and level lookups.
+    `on_cut` gets the atoms each `truncate_keep` or `clear` unassigns."""
+
+    def __init__(self, on_cut: Optional[Callable] = None) -> None:
+        self.entries: list[TrailEntry] = []
+        self._index: dict[Literal, int] = {}
+        self._on_cut = on_cut
+
+    @property
+    def level(self) -> int:
+        return self.entries[-1].level if self.entries else 0
+
+    def literals(self) -> list[Literal]:
+        return [e.literal for e in self.entries]
+
+    def value(self, lit: Literal) -> Optional[bool]:
+        if lit in self._index:
+            return True
+        if lit.complement() in self._index:
+            return False
+        return None
+
+    def defines(self, atom: Atom) -> bool:
+        return (Literal(atom, True) in self._index
+                or Literal(atom, False) in self._index)
+
+    def _position(self, lit: Literal) -> Optional[int]:
+        idx = self._index.get(lit)  # lit's atom, in either polarity
+        return self._index.get(lit.complement()) if idx is None else idx
+
+    def count(self, lit: Literal) -> float:
+        """Trail position (1-based) of the assignment that determined lit's
+        truth value; infinity when the atom is unassigned."""
+        idx = self._position(lit)
+        return math.inf if idx is None else idx + 1
+
+    def level_of(self, lit: Literal) -> float:
+        idx = self._position(lit)
+        return math.inf if idx is None else self.entries[idx].level
+
+    def entry_for(self, lit: Literal) -> TrailEntry:
+        return self.entries[self._index[lit]]
+
+    def push(self, lit: Literal, level: int, reason: Optional[Clause]) -> None:
+        assert self.value(lit) is None, f"atom already assigned: {lit.atom}"
+        self._index[lit] = len(self.entries)
+        self.entries.append(TrailEntry(lit, level, reason))
+
+    def truncate_keep(self, keep: int) -> None:
+        """Keep the first `keep` entries."""
+        cut = self.entries[keep:]
+        self.entries = self.entries[:keep]
+        self._index = {e.literal: i for i, e in enumerate(self.entries)}
+        if self._on_cut is not None:
+            self._on_cut(e.literal.atom for e in cut)
+
+    def clear(self) -> None:
+        self.truncate_keep(0)
+
+
+class _RefDecideHeap:
+    """The atoms of G by order key (`atom_order_key`), under either order:
+    it holds every unassigned atom of G once, and an assigned one until it
+    is popped.  Under the subterm order the least key is a minimal atom."""
+
+    def __init__(self, o: OrderingSpec, atoms: dict[Atom, None]) -> None:
+        self.o, self.atoms = o, atoms  # G's atoms, shared with the solver
+        self.heap: list[tuple[tuple, Atom]] = []
+        self.queued: set[Atom] = set()
+
+    def push(self, atoms: Iterable[Atom]) -> None:
+        for a in atoms:
+            if a in self.atoms and a not in self.queued:
+                self.queued.add(a)
+                heapq.heappush(self.heap, (atom_order_key(self.o, a), a))
+
+    def least(self, trail: RefTrail) -> Optional[Atom]:
+        """The least atom of G that the trail leaves unassigned, if any."""
+        heap = self.heap
+        while heap and trail.defines(heap[0][1]):
+            self.queued.discard(heapq.heappop(heap)[1])
+        return heap[0][1] if heap else None
+
+
+class RefSolver:
+    """`trigsat.cdcl.Solver` with one scan of G for Conflict and a second
+    for Propagate, on `RefTrail`.  It is the whole-run specification the
+    engine is held to: each rule's choice, the stats, the monitor
+    messages, the trace and G's final order.  It shares only helpers the
+    engine has not changed since (`sort_clause`, `_Monitors`, `_slim`,
+    `_candidate_key`, the result types); a change to one of those copies
+    it here first."""
+
+    def __init__(self, ground: Iterable[Clause],
+                 theory: list[Clause],
+                 selection: dict[int, frozenset[int]],
+                 ordering: OrderingSpec,
+                 instantiate_mode: str = "lazy",
+                 budget: Budget = Budget(),
+                 deadline: Optional[float] = None,
+                 trace: bool = False) -> None:
+        if instantiate_mode not in ("lazy", "eager"):
+            raise ValueError(f"unknown instantiation mode: {instantiate_mode!r}")
+        self.ordering = ordering
+        self.mode = instantiate_mode
+        self.budget = budget
+        self._deadline = (time.monotonic() + budget.timeout
+                          if deadline is None else deadline)
+        # The atoms of G in first-seen order; G only grows.
+        self._atoms: dict[Atom, None] = {}
+        self._heap = _RefDecideHeap(ordering, self._atoms)
+        self.trail = RefTrail(self._heap.push)
+        self.lc: Optional[Clause] = None
+        self.stats = RunStats()
+        self.trace: list[str] = []
+        self._tracing = trace
+        self.ground: list[Clause] = []
+        self._ground_keys: set = set()
+        self._instances_in_ground: dict[int, set] = {}
+        # Each theory clause with its trigger patterns (the complements of
+        # its selected literals) and their candidate keys.
+        self._triggers = []
+        for c in theory:
+            patterns = [c.literals[p].complement()
+                        for p in sorted(selection[c.cid])]
+            keys = [_candidate_key(p) for p in patterns]
+            self._triggers.append((c, patterns, keys))
+        for c in ground:
+            self._add_ground(c)
+        self.monitors = _Monitors([*self.ground, *theory], self._atoms,
+                                  self.stats.monitor_violations)
+
+    # -- bookkeeping ---------------------------------------------------
+
+    def _add_ground(self, c: Clause) -> Optional[Clause]:
+        """Store c with duplicate literals merged, unless G has it; returns
+        the stored clause.  The merged form is equivalent and keeps conflict
+        analysis (which merges duplicates anyway) aligned with G."""
+        assert c.is_ground, f"non-ground clause in G: {c}"
+        slim = _slim(c)
+        if slim.key in self._ground_keys:
+            return None
+        self._ground_keys.add(slim.key)
+        self.ground.append(slim)
+        new = [lit.atom for lit in slim.literals if lit.atom not in self._atoms]
+        self._atoms.update(dict.fromkeys(new))
+        self._heap.push(new)
+        return slim
+
+    def _emit(self, fmt: str, *args: object) -> None:
+        # Formatted only when tracing: str() of a clause walks its terms.
+        if self._tracing:
+            self.trace.append(fmt.format(*args))
+
+    def _unit_or_false(self, c: Clause) -> Optional[tuple[Literal, ...]]:
+        """() if the trail falsifies c, (l,) if l is c's one unassigned
+        literal and the rest are false, else None."""
+        unit: tuple[Literal, ...] = ()
+        for lit in c.literals:
+            v = self.trail.value(lit)
+            if v is True or (v is None and unit):
+                return None
+            if v is None:
+                unit = (lit,)
+        return unit
+
+    def _rewind(self, c: Clause) -> None:
+        """Undo the trail for a clause just added to G: all of it for a unit,
+        else back to c's second literal if all but its newest are false."""
+        if len(c) == 1:
+            self.trail.clear()
+        elif len(c) >= 2:
+            tail = sort_clause(self.trail, c)[1:]
+            if all(self.trail.value(l) is False for l in tail):
+                self.trail.truncate_keep(int(self.trail.count(tail[0])))
+
+    # -- rule applications ----------------------------------------------
+
+    def find_conflict(self) -> bool:
+        """Conflict: some clause of G is fully falsified by the trail."""
+        assert self.lc is None
+        for c in self.ground:
+            if self._unit_or_false(c) == ():
+                self.lc = c
+                self.stats.conflicts += 1
+                if self.trail.level > 0:
+                    self.stats.conflicts_above_level0 += 1
+                self.monitors.conflict(self.trail, c)
+                self._emit("conflict {} level={}", c, self.trail.level)
+                return True
+        return False
+
+    def propagate(self) -> bool:
+        """Propagate: a clause's sorted head is unassigned, the rest false."""
+        assert self.lc is None
+        for c in self.ground:
+            unit = self._unit_or_false(c)
+            if not unit:
+                continue
+            lit, = unit
+            level = self.trail.level
+            self.monitors.propagate(self.trail, c, lit)
+            self.trail.push(lit, level, c)
+            self.stats.propagates += 1
+            self.monitors.step()
+            self._emit("propagate {} level={} reason={}", lit, level, c)
+            return True
+        return False
+
+    def decide(self) -> bool:
+        """Decide: set the unassigned atom of G with the least order key
+        false, one level deeper.  Under the subterm order that atom is a
+        minimal one.
+
+        Only applicable when no propagation or conflict is pending; the
+        main loop establishes that by rule priority, so it is not checked.
+        """
+        assert self.lc is None
+        best = self._heap.least(self.trail)  # stays queued until popped
+        if best is None:
+            return False
+        level = self.trail.level + 1
+        self.trail.push(Literal(best, False), level, None)
+        self.stats.decides += 1
+        self.monitors.step()
+        self._emit("decide ~{} level={}", best, level)
+        return True
+
+    def backjump_applicable(self) -> bool:
+        if self.lc is None or self.lc.is_empty:
+            return False
+        head, *rest = sort_clause(self.trail, self.lc)
+        if self.trail.value(head) is not False:
+            return False
+        entry = self.trail.entry_for(head.complement())
+        if entry.level == 0:
+            # Level-0 conflicts resolve all the way down to the empty
+            # clause; every level-0 assignment has a reason.
+            assert entry.reason is not None
+            return True
+        same_level = any(self.trail.level_of(l) == entry.level
+                         for l in rest)
+        if not same_level:
+            return False
+        assert entry.reason is not None, (
+            "decision literal cannot share its level with an earlier "
+            "falsified literal")
+        return True
+
+    def backjump_step(self) -> None:
+        """Resolve the conflict clause with the reason of its newest literal."""
+        assert self.lc is not None and not self.lc.is_empty
+        head, *rest = sort_clause(self.trail, self.lc)
+        flipped = head.complement()
+        reason = self.trail.entry_for(flipped).reason
+        assert reason is not None
+        merged = [l for l in reason.literals if l != flipped] + rest
+        self.lc = Clause(tuple(dict.fromkeys(merged)), origin="learned")
+        self.stats.backjumps += 1
+        self.monitors.backjump()
+        self._emit("backjump {} level={}", self.lc, self.trail.level)
+
+    def learn(self) -> None:
+        """Add the conflict clause to G and rewind the trail."""
+        c = self.lc
+        assert c is not None and not c.is_empty
+        self.monitors.learn(self.trail, c)
+        self._add_ground(c)
+        self.stats.learns += 1
+        self.stats.learned_sizes.append(len(c))
+        self._rewind(c)
+        self.lc = None
+        self._emit("learn {} level={}", c, self.trail.level)
+
+    def instantiate_step(self) -> str:
+        """Add one new ground instance whose selected literals all have
+        their complements on the trail; rewind like Learn if falsified.
+
+        Returns "added" or "none".  A spent instantiation budget raises
+        BudgetExceeded only when a new instance exists: Succeed would be
+        unsound with an applicable Instantiate.
+        """
+        assert self.lc is None
+        found = self._find_new_instance()
+        if found is None:
+            return "none"
+        if self.stats.instantiations >= self.budget.max_instantiations:
+            raise BudgetExceeded("instantiation budget exceeded")
+        parent, theta, instance = found
+        added = self._add_ground(instance)  # duplicate-literal-merged form
+        self.stats.instantiations += 1
+        self.monitors.instantiate()
+        self._emit("instantiate {} from {} level={}", instance, parent,
+                   self.trail.level)
+        self._rewind(added)
+        return "added"
+
+    def _find_new_instance(self) -> Optional[tuple[Clause, Substitution, Clause]]:
+        # A pattern's candidates: the trail literals, in trail order, that
+        # share its key; no other trail literal can match it.
+        heads: dict[tuple[bool, str], list[Literal]] = {}
+        for lit in self.trail.literals():
+            heads.setdefault((lit.positive, lit.atom.pred), []).append(lit)
+        by_key: dict[tuple, list[Literal]] = {}
+        for c, patterns, keys in self._triggers:
+            lists = []
+            for key in keys:
+                found = by_key.get(key)
+                if found is None:
+                    head, tops = key
+                    found = heads.get(head, [])
+                    for i, fn in tops:
+                        found = [l for l in found if l.atom.args[i].fn == fn]
+                    by_key[key] = found
+                if not found:
+                    break
+                lists.append(found)
+            else:
+                # Enumerate matches exhaustively: earlier ones may be in G.
+                result = self._search_all(patterns, lists, c)
+                if result is not None:
+                    return result
+        return None
+
+    def _search_all(self, patterns: list[Literal], lists: list[list[Literal]],
+                    c: Clause) -> Optional[tuple[Clause, Substitution, Clause]]:
+        """Find, depth-first in trail order, the first match of the patterns
+        to their candidate lists whose instance of c is not in G.  Frame i
+        holds the bindings of patterns < i and the candidates left for
+        pattern i."""
+        # Matches whose instance is known to be in G (which only grows).
+        # Every full match binds the same variables in the same order, so
+        # the bound terms alone identify it.
+        in_ground = self._instances_in_ground.setdefault(c.cid, set())
+        lists = [*lists, ()]  # for the frame of a full match
+        frames = [({}, iter(lists[0]))]
+        while frames:
+            if time.monotonic() > self._deadline:
+                raise BudgetExceeded("timeout exceeded")
+            bindings, todo = frames[-1]
+            if len(frames) <= len(patterns):
+                pattern = patterns[len(frames) - 1]
+                for lit in todo:
+                    nxt = match_literal(pattern, lit, bindings)
+                    if nxt is not None:
+                        frames.append((nxt, iter(lists[len(frames)])))
+                        break
+                else:
+                    frames.pop()
+                continue
+            frames.pop()
+            match = tuple(bindings.values())
+            if match in in_ground:
+                continue
+            theta = Substitution(bindings)
+            instance = theta.apply_clause(c, origin="instance")
+            assert instance.is_ground, (
+                "valid selections cover all clause variables, so a full "
+                "match grounds the clause")
+            if _slim(instance).key not in self._ground_keys:
+                return c, theta, instance
+            in_ground.add(match)
+        return None
+
+    # -- main loop -------------------------------------------------------
+
+    def run(self) -> RunResult:
+        started = time.monotonic()
+
+        def finish(verdict: Verdict, line: str) -> RunResult:
+            self.stats.wall_time = time.monotonic() - started
+            self._emit("{}", line)
+            return RunResult(verdict, self.stats, self.trace, self.ground)
+
+        try:
+            while True:
+                if time.monotonic() > self._deadline:
+                    raise BudgetExceeded("timeout exceeded")
+                if self.stats.conflicts > MAX_CONFLICTS:
+                    raise BudgetExceeded("conflict budget exceeded")
+                if len(self.ground) > self.budget.max_clauses:
+                    raise BudgetExceeded("clause budget exceeded")
+                if self.lc is not None:
+                    if self.lc.is_empty:
+                        return finish(Verdict("unsat"), "fail")
+                    if self.backjump_applicable():
+                        self.backjump_step()
+                    else:
+                        self.learn()
+                # Lazy mode has decided every atom before it instantiates;
+                # eager mode decides only when no new instance exists.
+                elif not (self.find_conflict() or self.propagate()
+                          or (self.mode == "lazy" and self.decide())
+                          or self.instantiate_step() == "added"
+                          or (self.mode == "eager" and self.decide())):
+                    return finish(Verdict("sat", tuple(self.trail.literals())),
+                                  "succeed")
+        except BudgetExceeded as exc:
+            return finish(Verdict("unknown", (), str(exc)), f"unknown ({exc})")
+

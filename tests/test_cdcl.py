@@ -1,12 +1,13 @@
 """CDCL engine: rule mechanics, worked runs, and oracle agreement."""
 
+import dataclasses
 import gc
 import random
 import time
 import weakref
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trigsat.cdcl
@@ -16,10 +17,12 @@ from trigsat.models import ProductionRecord, produce_model
 from trigsat.ordering import Comparison, OrderingSpec, compare_atoms
 from trigsat.parser import parse_problem
 from trigsat.pipeline import SolveOptions, solve_problem
+from trigsat.selection import STRATEGIES, SelectionError, auto_select
 from trigsat.terms import (Atom, Clause, Literal, Substitution, Var, const,
                            fn, match_literal, vars_of)
 
 from oracles import (
+    RefSolver,
     clause,
     horn_sat,
     ref_decide_choice,
@@ -32,6 +35,8 @@ from strategies import (
     VARIABLES,
     ground_atoms,
     ground_literals,
+    ground_substitutions,
+    nested_clauses,
     nested_terms,
     orderings,
     terms,
@@ -633,6 +638,83 @@ class TestGroundOracleAgreement:
                 ("sat" if horn_sat(clauses_) else "unsat")
             assert s.stats.conflicts_above_level0 == 0
             assert s.stats.monitor_violations == []
+
+
+@st.composite
+def whole_run_inputs(draw):
+    """Solver arguments: a theory over `nested_terms` with `auto_select`
+    selections ("all" where the drawn strategy does not apply), a ground
+    part over instances of it and a few other atoms, a drawn order and
+    mode, and caps small enough to fire in some runs, or a past deadline."""
+    o = draw(st.one_of(orderings("weight"), orderings("subterm")))
+    theory, selection = [], {}
+    for c in draw(st.lists(nested_clauses(max_size=3, max_leaves=3),
+                           min_size=1, max_size=3)):
+        if c.is_ground:
+            continue
+        try:
+            selection[c.cid] = auto_select(
+                c, o, draw(st.sampled_from(STRATEGIES)))
+        except SelectionError:
+            selection[c.cid] = auto_select(c, o, "all")
+        theory.append(c)
+    pool = draw(st.lists(ground_atoms(max_depth=1), min_size=2, max_size=6))
+    for c in theory:
+        for _ in range(draw(st.integers(0, 2))):
+            theta = draw(ground_substitutions(max_depth=1))
+            pool += [l.atom for l in theta(c).literals]
+    pool = list(dict.fromkeys(pool))
+    rng = draw(st.randoms(use_true_random=True))
+    ground = []  # mostly of three literals, up to the hard 3-SAT ratio
+    for _ in range(rng.randint(1, 4 * len(pool) + 4)):
+        size = min(len(pool), rng.choice((1, 2, 2, 3, 3, 3, 3, 3, 3, 3)))
+        ground.append(Clause(tuple(Literal(x, rng.random() < 0.5)
+                                   for x in rng.sample(pool, size)),
+                             origin="input-ground"))
+    budget = Budget(max_instantiations=draw(st.integers(0, 12)),
+                    max_clauses=len(ground) + draw(st.integers(0, 40)))
+    deadline = draw(st.sampled_from((None, None, None, 0.0)))  # 0.0: past
+    return dict(ground=ground, theory=theory, selection=selection,
+                ordering=o, instantiate_mode=draw(st.sampled_from(
+                    ("lazy", "eager"))), budget=budget, deadline=deadline,
+                trace=True)
+
+
+def _run_record(solver):
+    """What a run must reproduce: everything but the wall time."""
+    r = solver.run()
+    stats = dataclasses.asdict(r.stats)
+    del stats["wall_time"]
+    return (r.verdict, stats, r.trace,
+            [(c.literals, c.origin) for c in r.final_ground])
+
+
+# Drawn inputs seldom make a learned clause the conflict clause.  Here a
+# unit instance clears the trail, and on the way back an input clause
+# propagates the literal that falsifies the first learned clause.
+_LEARNED_CONFLICT = parse_problem("""*~r(f(X, Z))
+r(g(b)) | r(f(f(g(b), b), g(b)))
+r(g(b)) | q(f(a, a)) | ~r(f(f(g(b), b), g(b)))
+q(f(a, a)) | r(f(g(b), f(a, b))) | ~r(g(b))
+""")
+
+
+class TestWholeRunsAgainstReference:
+    """The engine must make `RefSolver`'s choices at every step: the same
+    verdict and model, rule counts, monitor messages, trace lines and G in
+    the same order."""
+
+    @settings(max_examples=300)
+    @given(whole_run_inputs())
+    @example(dict(ground=_LEARNED_CONFLICT.ground,
+                  theory=_LEARNED_CONFLICT.theory,
+                  selection=_LEARNED_CONFLICT.selection,
+                  ordering=OrderingSpec(kind="weight", precedence=("a",),
+                                        weights={"b": 3, "f": 2},
+                                        precedence_dominant=True),
+                  trace=True))
+    def test_same_run_as_reference(self, kw):
+        assert _run_record(Solver(**kw)) == _run_record(RefSolver(**kw))
 
 
 class TestComplementSlot:
