@@ -58,7 +58,7 @@ class Trail:
 
     def __init__(self, on_cut: Optional[Callable] = None) -> None:
         self.entries: list[TrailEntry] = []
-        self._index: dict[Literal, int] = {}
+        self._at: dict[Atom, int] = {}  # atom -> position of its entry
         self._on_cut = on_cut
 
     @property
@@ -69,43 +69,37 @@ class Trail:
         return [e.literal for e in self.entries]
 
     def value(self, lit: Literal) -> Optional[bool]:
-        if lit in self._index:
-            return True
-        if lit.complement() in self._index:
-            return False
-        return None
+        idx = self._at.get(lit.atom)
+        return None if idx is None else self.entries[idx].literal is lit
 
     def defines(self, atom: Atom) -> bool:
-        return (Literal(atom, True) in self._index
-                or Literal(atom, False) in self._index)
-
-    def _position(self, lit: Literal) -> Optional[int]:
-        idx = self._index.get(lit)  # lit's atom, in either polarity
-        return self._index.get(lit.complement()) if idx is None else idx
+        return atom in self._at
 
     def count(self, lit: Literal) -> float:
         """Trail position (1-based) of the assignment that determined lit's
         truth value; infinity when the atom is unassigned."""
-        idx = self._position(lit)
+        idx = self._at.get(lit.atom)
         return math.inf if idx is None else idx + 1
 
     def level_of(self, lit: Literal) -> float:
-        idx = self._position(lit)
+        idx = self._at.get(lit.atom)
         return math.inf if idx is None else self.entries[idx].level
 
     def entry_for(self, lit: Literal) -> TrailEntry:
-        return self.entries[self._index[lit]]
+        """The entry that assigned lit's atom, in either polarity."""
+        return self.entries[self._at[lit.atom]]
 
     def push(self, lit: Literal, level: int, reason: Optional[Clause]) -> None:
-        assert self.value(lit) is None, f"atom already assigned: {lit.atom}"
-        self._index[lit] = len(self.entries)
+        assert lit.atom not in self._at, f"atom already assigned: {lit.atom}"
+        self._at[lit.atom] = len(self.entries)
         self.entries.append(TrailEntry(lit, level, reason))
 
     def truncate_keep(self, keep: int) -> None:
         """Keep the first `keep` entries."""
         cut = self.entries[keep:]
-        self.entries = self.entries[:keep]
-        self._index = {e.literal: i for i, e in enumerate(self.entries)}
+        del self.entries[keep:]
+        for e in cut:
+            del self._at[e.literal.atom]
         if self._on_cut is not None:
             self._on_cut(e.literal.atom for e in cut)
 
@@ -185,16 +179,17 @@ def _candidate_key(pattern: Literal) -> tuple:
 class _DecideHeap:
     """The atoms of G by order key (`atom_order_key`), under either order:
     it holds every unassigned atom of G once, and an assigned one until it
-    is popped.  Under the subterm order the least key is a minimal atom."""
+    is popped.  Under the subterm order the least key is a minimal atom.
+    Only atoms of G come in: G's new atoms, and those a trail cut frees."""
 
-    def __init__(self, o: OrderingSpec, atoms: dict[Atom, None]) -> None:
-        self.o, self.atoms = o, atoms  # G's atoms, shared with the solver
+    def __init__(self, o: OrderingSpec) -> None:
+        self.o = o
         self.heap: list[tuple[tuple, Atom]] = []
         self.queued: set[Atom] = set()
 
     def push(self, atoms: Iterable[Atom]) -> None:
         for a in atoms:
-            if a in self.atoms and a not in self.queued:
+            if a not in self.queued:
                 self.queued.add(a)
                 heapq.heappush(self.heap, (atom_order_key(self.o, a), a))
 
@@ -293,7 +288,7 @@ class Solver:
                           if deadline is None else deadline)
         # The atoms of G in first-seen order; G only grows.
         self._atoms: dict[Atom, None] = {}
-        self._heap = _DecideHeap(ordering, self._atoms)
+        self._heap = _DecideHeap(ordering)
         self.trail = Trail(self._heap.push)
         self.lc: Optional[Clause] = None
         self.stats = RunStats()
@@ -337,18 +332,6 @@ class Solver:
         if self._tracing:
             self.trace.append(fmt.format(*args))
 
-    def _unit_or_false(self, c: Clause) -> Optional[tuple[Literal, ...]]:
-        """() if the trail falsifies c, (l,) if l is c's one unassigned
-        literal and the rest are false, else None."""
-        unit: tuple[Literal, ...] = ()
-        for lit in c.literals:
-            v = self.trail.value(lit)
-            if v is True or (v is None and unit):
-                return None
-            if v is None:
-                unit = (lit,)
-        return unit
-
     def _rewind(self, c: Clause) -> None:
         """Undo the trail for a clause just added to G: all of it for a unit,
         else back to c's second literal if all but its newest are false."""
@@ -361,36 +344,41 @@ class Solver:
 
     # -- rule applications ----------------------------------------------
 
-    def find_conflict(self) -> bool:
-        """Conflict: some clause of G is fully falsified by the trail."""
-        assert self.lc is None
-        for c in self.ground:
-            if self._unit_or_false(c) == ():
-                self.lc = c
-                self.stats.conflicts += 1
-                if self.trail.level > 0:
-                    self.stats.conflicts_above_level0 += 1
-                self.monitors.conflict(self.trail, c)
-                self._emit("conflict {} level={}", c, self.trail.level)
-                return True
-        return False
-
     def propagate(self) -> bool:
-        """Propagate: a clause's sorted head is unassigned, the rest false."""
+        """Conflict on the first clause of G the trail falsifies, else
+        Propagate the first unit clause of G, in one pass over G."""
         assert self.lc is None
+        value = self.trail.value
+        first: Optional[tuple[Clause, Literal]] = None
         for c in self.ground:
-            unit = self._unit_or_false(c)
-            if not unit:
-                continue
-            lit, = unit
-            level = self.trail.level
-            self.monitors.propagate(self.trail, c, lit)
-            self.trail.push(lit, level, c)
-            self.stats.propagates += 1
-            self.monitors.step()
-            self._emit("propagate {} level={} reason={}", lit, level, c)
-            return True
-        return False
+            unit = None
+            for lit in c.literals:
+                v = value(lit)
+                if v is True or (v is None and unit is not None):
+                    break
+                if v is None:
+                    unit = lit
+            else:
+                if unit is None:
+                    self.lc = c
+                    self.stats.conflicts += 1
+                    if self.trail.level > 0:
+                        self.stats.conflicts_above_level0 += 1
+                    self.monitors.conflict(self.trail, c)
+                    self._emit("conflict {} level={}", c, self.trail.level)
+                    return True
+                if first is None:
+                    first = c, unit
+        if first is None:
+            return False
+        c, lit = first
+        level = self.trail.level
+        self.monitors.propagate(self.trail, c, lit)
+        self.trail.push(lit, level, c)
+        self.stats.propagates += 1
+        self.monitors.step()
+        self._emit("propagate {} level={} reason={}", lit, level, c)
+        return True
 
     def decide(self) -> bool:
         """Decide: set the unassigned atom of G with the least order key
@@ -417,7 +405,7 @@ class Solver:
         head, *rest = sort_clause(self.trail, self.lc)
         if self.trail.value(head) is not False:
             return False
-        entry = self.trail.entry_for(head.complement())
+        entry = self.trail.entry_for(head)
         if entry.level == 0:
             # Level-0 conflicts resolve all the way down to the empty
             # clause; every level-0 assignment has a reason.
@@ -437,7 +425,7 @@ class Solver:
         assert self.lc is not None and not self.lc.is_empty
         head, *rest = sort_clause(self.trail, self.lc)
         flipped = head.complement()
-        reason = self.trail.entry_for(flipped).reason
+        reason = self.trail.entry_for(head).reason
         assert reason is not None
         merged = [l for l in reason.literals if l != flipped] + rest
         self.lc = Clause(tuple(dict.fromkeys(merged)), origin="learned")
@@ -574,7 +562,7 @@ class Solver:
                         self.learn()
                 # Lazy mode has decided every atom before it instantiates;
                 # eager mode decides only when no new instance exists.
-                elif not (self.find_conflict() or self.propagate()
+                elif not (self.propagate()
                           or (self.mode == "lazy" and self.decide())
                           or self.instantiate_step() == "added"
                           or (self.mode == "eager" and self.decide())):

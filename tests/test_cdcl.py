@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import random
 import time
 import weakref
@@ -60,6 +61,28 @@ def prop(name, positive=True):
 def solver_for(ground, theory=(), selection=None, **kw):
     return Solver(ground=ground, theory=list(theory),
                   selection=selection or {}, ordering=WEIGHT, **kw)
+
+
+class TestTrail:
+    def test_cut_atom_is_unassigned_and_takes_the_other_polarity(self):
+        cut = []
+        trail = Trail(lambda atoms: cut.extend(atoms))
+        trail.push(prop("a"), 0, None)
+        trail.push(prop("b", False), 1, None)
+        trail.push(prop("c"), 1, None)
+        trail.truncate_keep(1)
+        assert cut == [Atom("b"), Atom("c")]
+        for name in "bc":
+            assert not trail.defines(Atom(name))
+            assert trail.value(prop(name)) is None
+            assert trail.count(prop(name)) == math.inf
+        trail.push(prop("b"), 1, None)
+        assert trail.value(prop("b")) is True
+        assert trail.value(prop("b", False)) is False
+        assert trail.count(prop("b", False)) == 2
+        assert trail.level_of(prop("b", False)) == 1
+        assert trail.entry_for(prop("b", False)).literal is prop("b")
+        assert trail.value(prop("a")) is True
 
 
 class TestSortClause:
@@ -267,13 +290,24 @@ class TestConflict:
         g = clause([prop("p")])
         s = solver_for([g])
         s.trail.push(prop("p", False), 0, None)
-        assert s.find_conflict()
+        assert s.propagate()
         assert s.lc == g
 
     def test_partial_clause_is_no_conflict(self):
         s = solver_for([clause([prop("p"), prop("q")])])
         s.trail.push(prop("p", False), 0, None)
-        assert not s.find_conflict()
+        assert s.propagate()
+        assert s.lc is None
+        assert s.trail.literals()[-1] is prop("q")
+
+    def test_conflict_wins_over_an_earlier_unit_clause(self):
+        unit = clause([prop("r", False)])
+        s = solver_for([clause([prop("p"), prop("q")]), unit])
+        s.trail.push(prop("p", False), 0, None)
+        s.trail.push(prop("r"), 0, None)
+        assert s.propagate()
+        assert s.lc == unit
+        assert s.trail.literals() == [prop("p", False), prop("r")]
 
     def test_empty_clause_conflicts_then_fails(self):
         bottom = Clause((), origin="input-ground")
@@ -306,11 +340,26 @@ class TestBackjumpLearn:
         s.trail.push(prop("y"), 0, None)
         s.trail.push(prop("z", False), 1, None)
         s.trail.push(prop("x"), 1, reason)
-        assert s.find_conflict()
-        assert s.backjump_applicable() is False or True  # shape probed below
-        s.lc = conflict
+        assert s.propagate()
+        assert s.lc == conflict
+        # ~x is the only literal at the conflict level: Learn applies.
+        assert s.backjump_applicable() is False
         s.backjump_step()
         assert s.lc == clause([prop("z"), prop("y", False)])
+
+    def test_backjump_applies_when_two_literals_share_the_conflict_level(self):
+        reason_x = clause([prop("x"), prop("z")])
+        reason_y = clause([prop("y"), prop("z")])
+        conflict = clause([prop("x", False), prop("y", False)])
+        s = solver_for([reason_x, reason_y, conflict])
+        s.trail.push(prop("z", False), 1, None)
+        s.trail.push(prop("x"), 1, reason_x)
+        s.trail.push(prop("y"), 1, reason_y)
+        assert s.propagate()
+        assert s.lc == conflict
+        assert s.backjump_applicable() is True
+        s.backjump_step()
+        assert s.lc == clause([prop("z"), prop("x", False)])
 
     def test_learn_unit_restarts_trail(self):
         s = solver_for(self.unsat_pair())
@@ -800,7 +849,8 @@ class TestDecideHeap:
     @given(weight_orderings(), st.lists(ground_atoms(max_depth=2), min_size=2,
                                         max_size=8, unique=True), st.data())
     def test_every_decide_matches_reference_scan(self, o, pool, data):
-        # Atoms of the pool outside G may be assigned, then enter G.
+        # Atoms of the pool outside G may enter G later.  The trail takes
+        # atoms of G only, as in a run: a cut pushes its atoms unchecked.
         in_g = pool[:data.draw(st.integers(1, len(pool)))]
         s = Solver(ground=[Clause(tuple(Literal(x) for x in in_g))],
                    theory=[], selection={}, ordering=o)
@@ -813,14 +863,13 @@ class TestDecideHeap:
             g_atoms = {l.atom for c in s.ground for l in c.literals}
             unassigned = [x for x in pool
                           if x in g_atoms and not s.trail.defines(x)]
-            free = [x for x in pool if not s.trail.defines(x)]
             if op == "decide":
                 assert s.decide() == bool(unassigned)
                 if unassigned:
                     best = ref_decide_choice(o, unassigned)
                     assert s.trail.literals()[-1] is Literal(best, False)
-            elif op == "propagate" and free:
-                s.trail.push(Literal(data.draw(st.sampled_from(free)),
+            elif op == "propagate" and unassigned:
+                s.trail.push(Literal(data.draw(st.sampled_from(unassigned)),
                                      data.draw(st.booleans())),
                              s.trail.level, s.ground[0])
             elif op == "learn":
