@@ -358,7 +358,7 @@ class Solver:
                     break
                 if v is None:
                     unit = lit
-            else:
+            else:  # no literal true, at most one unassigned
                 if unit is None:
                     self.lc = c
                     self.stats.conflicts += 1
