@@ -201,6 +201,42 @@ class _DecideHeap:
         return heap[0][1] if heap else None
 
 
+class _Candidates:
+    """For each candidate key (`_candidate_key`), the trail literals with
+    that key in trail order, as (stamp, literal) pairs.  Stamps come from
+    a counter that is never reused, so a literal pushed again after a cut
+    is newer than everything stamped before."""
+
+    def __init__(self, keys: Iterable[tuple]) -> None:
+        self.lists: dict[tuple, list[tuple[int, Literal]]] = {}
+        self._by_head: dict[tuple[bool, str], list] = {}
+        for key in keys:
+            if key not in self.lists:
+                self.lists[key] = []
+                self._by_head.setdefault(key[0], []).append(
+                    (key[1], self.lists[key]))
+        self.newest = 0  # the last stamp given
+        self._taken = 0  # the trail entries taken in
+
+    def sync(self, trail: Trail) -> None:
+        """Take in the entries pushed since the last call."""
+        for e in trail.entries[self._taken:]:
+            self.newest += 1
+            args = e.literal.atom.args
+            for tops, lst in self._by_head.get(
+                    (e.literal.positive, e.literal.atom.pred), ()):
+                if all(args[i].fn == fn for i, fn in tops):
+                    lst.append((self.newest, e.literal))
+        self._taken = len(trail.entries)
+
+    def cut(self, trail: Trail) -> None:
+        """Drop the literals a trail cut unassigned: a suffix of each list."""
+        self._taken = min(self._taken, len(trail.entries))
+        for lst in self.lists.values():
+            while lst and not trail.defines(lst[-1][1].atom):
+                lst.pop()
+
+
 class _Monitors:
     """The paper's invariants, checked at each rule event; each breach
     appends one `... monitor: ...` message to `violations`.  The Horn claim
@@ -289,22 +325,24 @@ class Solver:
         # The atoms of G in first-seen order; G only grows.
         self._atoms: dict[Atom, None] = {}
         self._heap = _DecideHeap(ordering)
-        self.trail = Trail(self._heap.push)
+        self.trail = Trail(self._cut)
         self.lc: Optional[Clause] = None
         self.stats = RunStats()
         self.trace: list[str] = []
         self._tracing = trace
         self.ground: list[Clause] = []
         self._ground_keys: set = set()
-        self._instances_in_ground: dict[int, set] = {}
         # Each theory clause with its trigger patterns (the complements of
-        # its selected literals) and their candidate keys.
+        # its selected literals), their candidate keys and the memo of its
+        # exhausted matches (`_search`).
         self._triggers = []
         for c in theory:
             patterns = [c.literals[p].complement()
                         for p in sorted(selection[c.cid])]
             keys = [_candidate_key(p) for p in patterns]
-            self._triggers.append((c, patterns, keys))
+            self._triggers.append((c, patterns, keys, {}))
+        self._candidates = _Candidates(
+            k for _, _, keys, _ in self._triggers for k in keys)
         for c in ground:
             self._add_ground(c)
         self.monitors = _Monitors([*self.ground, *theory], self._atoms,
@@ -326,6 +364,12 @@ class Solver:
         self._atoms.update(dict.fromkeys(new))
         self._heap.push(new)
         return slim
+
+    def _cut(self, atoms: Iterable[Atom]) -> None:
+        """The trail's cut hook: requeue the unassigned atoms for Decide
+        and drop their literals from the candidate lists."""
+        self._heap.push(atoms)
+        self._candidates.cut(self.trail)
 
     def _emit(self, fmt: str, *args: object) -> None:
         # Formatted only when tracing: str() of a clause walks its terms.
@@ -471,60 +515,61 @@ class Solver:
     def _find_new_instance(self) -> Optional[tuple[Clause, Substitution, Clause]]:
         # A pattern's candidates: the trail literals, in trail order, that
         # share its key; no other trail literal can match it.
-        heads: dict[tuple[bool, str], list[Literal]] = {}
-        for lit in self.trail.literals():
-            heads.setdefault((lit.positive, lit.atom.pred), []).append(lit)
-        by_key: dict[tuple, list[Literal]] = {}
-        for c, patterns, keys in self._triggers:
-            lists = []
-            for key in keys:
-                found = by_key.get(key)
-                if found is None:
-                    head, tops = key
-                    found = heads.get(head, [])
-                    for i, fn in tops:
-                        found = [l for l in found if l.atom.args[i].fn == fn]
-                    by_key[key] = found
-                if not found:
-                    break
-                lists.append(found)
-            else:
-                # Enumerate matches exhaustively: earlier ones may be in G.
-                result = self._search_all(patterns, lists, c)
+        cands = self._candidates
+        cands.sync(self.trail)
+        for c, patterns, keys, memo in self._triggers:
+            lists = [cands.lists[k] for k in keys]
+            if all(lists):
+                result = self._search(c, patterns, lists, memo)
                 if result is not None:
                     return result
         return None
 
-    def _search_all(self, patterns: list[Literal], lists: list[list[Literal]],
-                    c: Clause) -> Optional[tuple[Clause, Substitution, Clause]]:
+    def _search(self, c: Clause, patterns: list[Literal],
+                lists: list[list[tuple[int, Literal]]], memo: dict
+                ) -> Optional[tuple[Clause, Substitution, Clause]]:
         """Find, depth-first in trail order, the first match of the patterns
-        to their candidate lists whose instance of c is not in G.  Frame i
-        holds the bindings of patterns < i and the candidates left for
-        pattern i."""
-        # Matches whose instance is known to be in G (which only grows).
-        # Every full match binds the same variables in the same order, so
-        # the bound terms alone identify it.
-        in_ground = self._instances_in_ground.setdefault(c.cid, set())
+        to their candidate lists whose instance of c is not in G.  A match
+        is a tuple of trail literals, one per pattern; the frame of a prefix
+        of i of them holds its bindings and the candidates left for
+        pattern i.
+
+        `memo` maps each prefix whose subtree a search finished to the
+        newest stamp then: every match under it had its instance in G, and
+        G only grows.  A literal still on the trail with a stamp no newer
+        was on the trail then, so the subtree holds no new instance while
+        no list of a later pattern ends newer.  A full match has no later
+        pattern, so it is skipped for good; the empty prefix stands for the
+        whole clause.  Only matches with their instance in G are skipped,
+        so the first new match is the one a full search finds."""
+        newest = self._candidates.newest
+        n = len(patterns)
+        # ends[i]: the newest stamp in the lists of pattern i and later.
+        ends = [max((l[-1][0] for l in lists[i:]), default=0)
+                for i in range(n + 1)]
+        if memo.get((), -1) >= ends[0]:
+            return None
         lists = [*lists, ()]  # for the frame of a full match
-        frames = [({}, iter(lists[0]))]
+        frames = [((), {}, iter(lists[0]))]
         while frames:
             if time.monotonic() > self._deadline:
                 raise BudgetExceeded("timeout exceeded")
-            bindings, todo = frames[-1]
-            if len(frames) <= len(patterns):
-                pattern = patterns[len(frames) - 1]
-                for lit in todo:
+            prefix, bindings, todo = frames[-1]
+            if len(prefix) < n:
+                pattern = patterns[len(prefix)]
+                for _, lit in todo:
+                    longer = (*prefix, lit)
+                    if memo.get(longer, -1) >= ends[len(longer)]:
+                        continue
                     nxt = match_literal(pattern, lit, bindings)
                     if nxt is not None:
-                        frames.append((nxt, iter(lists[len(frames)])))
+                        frames.append((longer, nxt, iter(lists[len(longer)])))
                         break
                 else:
                     frames.pop()
+                    memo[prefix] = newest
                 continue
             frames.pop()
-            match = tuple(bindings.values())
-            if match in in_ground:
-                continue
             theta = Substitution(bindings)
             instance = theta.apply_clause(c, origin="instance")
             assert instance.is_ground, (
@@ -532,7 +577,7 @@ class Solver:
                 "match grounds the clause")
             if _slim(instance).key not in self._ground_keys:
                 return c, theta, instance
-            in_ground.add(match)
+            memo[prefix] = newest
         return None
 
     # -- main loop -------------------------------------------------------

@@ -538,6 +538,35 @@ class TestCandidateListsAgainstReference:
                 (want[0].cid, dict(want[1]), want[2].literals)
             s._add_ground(got[2])
 
+    @settings(max_examples=200)
+    @given(trigger_setups(), st.data())
+    def test_same_first_instance_after_cuts_and_repushes(self, setup, data):
+        # The candidate lists and the memo of exhausted matches outlive a
+        # call; a cut must drop what it unassigned, and a literal pushed
+        # again must count as new.
+        theory, selection, pool, ground = setup
+        s = Solver(ground=ground, theory=theory, selection=selection,
+                   ordering=WEIGHT)
+        for trail_lit in pool:
+            s.trail.push(trail_lit, 0, None)
+        for _ in range(data.draw(st.integers(1, 6))):
+            got = s._find_new_instance()
+            want = ref_find_new_instance(theory, selection,
+                                         s.trail.literals(), s.ground)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert (got[0].cid, dict(got[1]), got[2].literals) == \
+                    (want[0].cid, dict(want[1]), want[2].literals)
+                s._add_ground(got[2])
+            s.trail.truncate_keep(data.draw(
+                st.integers(0, len(s.trail.entries))))
+            free = [l for l in pool if not s.trail.defines(l.atom)]
+            for trail_lit in data.draw(st.permutations(free)):
+                if data.draw(st.booleans()):
+                    s.trail.push(trail_lit, 0, None)
+
 
 class TestWorkedRuns:
     def run_text(self, text, **options):
@@ -577,6 +606,26 @@ class TestWorkedRuns:
             text, budget=Budget(max_instantiations=2))
         assert result.verdict_line == "sat"
         assert result.run.stats.instantiations == 2
+
+    def test_chain_matches_a_few_literals_per_instantiation(self):
+        # Matches whose instance G already holds are not matched again, so
+        # the chain's match count grows as its instantiations do.
+        k = 60
+        s, t = "f(" * k + "a" + ")" * k, "f(" * k + "b" + ")" * k
+        text = ("~p(X1, Y1) | *q(f(X1), Y1)\n"
+                "~q(X2, Y2) | *p(X2, f(Y2))\n"
+                f"~p({s}, {t})\n")
+        calls = []
+
+        def counting(pattern, target, bindings=None):
+            calls.append(pattern)
+            return match_literal(pattern, target, bindings)
+
+        with mock.patch.object(trigsat.cdcl, "match_literal", counting):
+            result = self.run_text(text, ordering=SUBTERM)
+        assert result.verdict_line == "sat"
+        assert result.run.stats.instantiations == 2 * k
+        assert len(calls) <= 3 * result.run.stats.instantiations
 
     def test_divergent_triggers_hit_instantiation_budget(self):
         text = ("*~p(X1, Y1) | q(f(X1), Y1)\n"
