@@ -129,9 +129,6 @@ class BudgetExceeded(Exception):
     """A cap or the deadline ran out; the argument says which."""
 
 
-MAX_CONFLICTS = 200_000
-
-
 @dataclass
 class RunStats:
     decides: int = 0
@@ -594,8 +591,6 @@ class Solver:
             while True:
                 if time.monotonic() > self._deadline:
                     raise BudgetExceeded("timeout exceeded")
-                if self.stats.conflicts > MAX_CONFLICTS:
-                    raise BudgetExceeded("conflict budget exceeded")
                 if len(self.ground) > self.budget.max_clauses:
                     raise BudgetExceeded("clause budget exceeded")
                 if self.lc is not None:

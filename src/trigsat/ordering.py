@@ -7,12 +7,12 @@ Two built-ins:
   precedence, then lexicographic recursion on arguments.  Total on ground
   atoms and isomorphic to the natural numbers (finitely many atoms below
   any atom).
-* ``subterm``: within one predicate, p(s1,...,sn) <= p(t1,...,tn) iff each
-  si is a subterm of ti; across equal-arity predicates the same pointwise
-  rule applies with precedence breaking argument-equal ties; otherwise two
-  ground atoms of equal argument weight compare by precedence.
-  Polynomial: the atoms strictly below an atom are bounded by the product
-  of its subterm counts (times the number of predicates).
+* ``subterm``: p(s1,...,sn) < q(t1,...,tn) iff each si is a subterm of ti
+  and some si differs from ti, or every si is ti and p is below q in the
+  precedence; atoms of different arity are incomparable.  A lexicographic
+  combination of two strict orders, so it is a strict order.  Polynomial:
+  the atoms strictly below an atom are bounded by the product of its
+  arguments' subterm counts times the number of predicates.
 
 ``precedence_dominant`` lifts predicate precedence above everything else,
 so r(t1) > q(t2) whenever r > q, for all arguments.  That ordering is
@@ -194,12 +194,8 @@ def term_weight(o: OrderingSpec, t: Term) -> int:
     return _term_entry(o, t)[0]
 
 
-def _args_weight(o: OrderingSpec, a: Atom) -> int:
-    return sum(term_weight(o, t) for t in a.args)
-
-
 def atom_weight(o: OrderingSpec, a: Atom) -> int:
-    return o.symbol_weight(a.pred) + _args_weight(o, a)
+    return o.symbol_weight(a.pred) + sum(term_weight(o, t) for t in a.args)
 
 
 def _covers(big: Counter, small: Counter) -> bool:
@@ -284,19 +280,6 @@ def _kbo_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
     raise AssertionError("distinct atoms with all-equal arguments")
 
 
-def _pointwise_subterm(a: Atom, b: Atom) -> Optional[Comparison]:
-    """Pointwise subterm product on equal-length argument tuples."""
-    le_ab = all(is_subterm(sa, ta) for sa, ta in zip(a.args, b.args))
-    le_ba = all(is_subterm(ta, sa) for sa, ta in zip(a.args, b.args))
-    if le_ab and le_ba:
-        return Comparison.EQ  # identical argument tuples
-    if le_ab:
-        return Comparison.LT
-    if le_ba:
-        return Comparison.GT
-    return None
-
-
 def compare_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
     if a is b:
         return Comparison.EQ
@@ -304,20 +287,18 @@ def compare_atoms(o: OrderingSpec, a: Atom, b: Atom) -> Comparison:
         return o.compare_symbols(a.pred, b.pred)
     if o.kind == "weight":
         return _kbo_atoms(o, a, b)
-    # subterm-product
-    if a.pred == b.pred:
-        c = _pointwise_subterm(a, b)
-        if c is Comparison.EQ:
+    # subterm: the pointwise subterm product on the arguments, then
+    # predicate precedence on identical arguments
+    if a.arity != b.arity:
+        return Comparison.INCOMPARABLE
+    if a.args == b.args:  # terms are interned: this compares identities
+        if a.pred == b.pred:
             raise AssertionError("distinct atoms with identical arguments")
-        return c if c is not None else Comparison.INCOMPARABLE
-    if a.arity == b.arity:
-        c = _pointwise_subterm(a, b)
-        if c is Comparison.EQ:
-            return o.compare_symbols(a.pred, b.pred)
-        if c is not None:
-            return c
-    if a.ground and b.ground and _args_weight(o, a) == _args_weight(o, b):
         return o.compare_symbols(a.pred, b.pred)
+    if all(is_subterm(s, t) for s, t in zip(a.args, b.args)):
+        return Comparison.LT
+    if all(is_subterm(t, s) for s, t in zip(a.args, b.args)):
+        return Comparison.GT
     return Comparison.INCOMPARABLE
 
 
@@ -333,9 +314,11 @@ def compare_literals(o: OrderingSpec, l1: Literal, l2: Literal) -> Comparison:
 
 def atom_order_key(o: OrderingSpec, a: Atom) -> tuple:
     """The key of ground atom a under o, equal only for the same atom.
-    Under the weight order keys compare as `compare_atoms` does; under the
-    subterm order, whose weight ties count the arguments alone, they order
-    each strictly comparable pair as it does.  Cached per spec."""
+    Under the weight order keys compare as `compare_atoms` does.  Under
+    the subterm order they order each strictly comparable pair as it
+    does: a proper subterm weighs less, and the key leaves out the
+    predicate's weight so that identical arguments order by precedence.
+    Cached per spec."""
     key = o._keys.get(a)
     if key is None:
         if not a.ground:

@@ -2,7 +2,7 @@ import os
 import sys
 from pathlib import Path
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 TESTS = Path(__file__).resolve().parent
 SRC = str(TESTS.parent / "src")
@@ -16,4 +16,9 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 settings.register_profile("suite", max_examples=60, deadline=None,
                           derandomize=True)
+# `scripts/mutants.py` passes --hypothesis-profile=mutants: it needs a
+# failure, not a minimal one, so it skips the shrink phase.
+settings.register_profile("mutants", settings.get_profile("suite"),
+                          phases=(Phase.explicit, Phase.reuse,
+                                  Phase.generate))
 settings.load_profile("suite")

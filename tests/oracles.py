@@ -18,9 +18,9 @@ import time
 from functools import cmp_to_key
 from typing import Callable, Iterable, Optional
 
-from trigsat.cdcl import (MAX_CONFLICTS, Budget, BudgetExceeded, RunResult,
-                          RunStats, TrailEntry, Verdict, _candidate_key,
-                          _Monitors, _slim, sort_clause)
+from trigsat.cdcl import (Budget, BudgetExceeded, RunResult, RunStats,
+                          TrailEntry, Verdict, _candidate_key, _Monitors,
+                          _slim, sort_clause)
 from trigsat.corpus import CORPORA
 from trigsat.models import ProductionRecord, filter_clause_indexed, int_of
 from trigsat.ordering import (Comparison, OrderingSpec, atom_order_key,
@@ -681,6 +681,10 @@ class _RefDecideHeap:
         while heap and trail.defines(heap[0][1]):
             self.queued.discard(heapq.heappop(heap)[1])
         return heap[0][1] if heap else None
+
+
+# The conflict cap the engine had when it was frozen here.
+MAX_CONFLICTS = 200_000
 
 
 class RefSolver:

@@ -1,8 +1,11 @@
 """The built-in clause-set fixtures and their stated properties."""
 
+from pathlib import Path
+
 import pytest
 
-from trigsat.corpus import corpus_ordering, schur_problem, schur_triples
+from trigsat.corpus import (CORPORA, corpus_ordering, schur_problem,
+                            schur_triples)
 from trigsat.pipeline import SolveOptions, check_problem_saturated
 from trigsat.saturation import SaturationOutcome
 from trigsat.selection import validate_selection
@@ -20,6 +23,13 @@ class TestLoadCorpus:
         problem = load_corpus("settheory")
         assert len(problem.theory) == 17
         assert problem.ground == []
+
+    def test_module_and_files_agree(self):
+        # Tests read `CORPORA`; perfbench and the README examples read
+        # `corpora/*.p`.
+        files = Path(__file__).resolve().parent.parent / "corpora"
+        assert {p.stem: p.read_bytes() for p in files.glob("*.p")} == \
+            {name: text.encode() for name, text in CORPORA.items()}
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown corpus"):

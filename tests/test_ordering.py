@@ -94,16 +94,25 @@ class TestCompareAtoms:
         assert compare_atoms(SUBTERM, p_atom, q_atom) is Comparison.LT
 
     def test_subterm_predicate_weight_makes_no_cycle(self):
-        # Precedence ties across predicates read the arguments' weight
-        # alone: counting p's weight would make p(a) > r(b,b,b,b,b) too,
-        # closing a cycle.
+        # Across predicates only the arguments and then the precedence
+        # decide, never a weight: p's weight puts p(a) above neither atom.
         o = OrderingSpec(kind="subterm", precedence=("p", "r", "q"),
                          weights={"p": 5})
         pa, rb = Atom("p", (a,)), Atom("r", (b,) * 5)
         qf = Atom("q", (nest(4, a),))
-        assert compare_atoms(o, rb, qf) is Comparison.GT
+        assert compare_atoms(o, rb, qf) is Comparison.INCOMPARABLE
         assert compare_atoms(o, qf, pa) is Comparison.GT
         assert compare_atoms(o, pa, rb) is Comparison.INCOMPARABLE
+
+    def test_subterm_identical_arguments_order_by_precedence(self):
+        o = OrderingSpec(kind="subterm", precedence=("r", "q"))
+        ra, qa = Atom("r", (a,)), Atom("q", (a,))
+        qfa = Atom("q", (fn("f", a),))
+        assert compare_atoms(o, ra, qa) is Comparison.GT
+        assert compare_atoms(o, qfa, ra) is Comparison.GT
+        # Equal argument weight does not decide across predicates.
+        for x, y in ((ra, Atom("q", (b,))), (qfa, Atom("p", (b, b)))):
+            assert compare_atoms(o, x, y) is Comparison.INCOMPARABLE
 
 
 class TestCompareLiterals:
@@ -205,6 +214,43 @@ class TestStability:
             assert compare_atoms(COUNTERSEL, theta(a1), theta(a2)) is verdict
 
 
+_CONVERSE = {Comparison.LT: Comparison.GT, Comparison.GT: Comparison.LT,
+             Comparison.EQ: Comparison.EQ,
+             Comparison.INCOMPARABLE: Comparison.INCOMPARABLE}
+
+
+@st.composite
+def order_pools(draw):
+    """Atoms, ground or not, each with its one-step shrinks (an argument
+    replaced by one of its own arguments), so that chains are common."""
+    pool = draw(st.lists(ground_atoms(max_depth=2) | atoms(max_depth=2),
+                         min_size=2, max_size=6))
+    shrinks = [Atom(x.pred, x.args[:i] + (u,) + x.args[i + 1:])
+               for x in pool for i, t in enumerate(x.args)
+               for u in getattr(t, "args", ())]
+    return list(dict.fromkeys(pool + shrinks))
+
+
+class TestOrderLaws:
+    """Under both kinds, with drawn precedence, weights and dominance,
+    `compare_atoms` is a strict partial order: irreflexive, asymmetric
+    and transitive."""
+
+    @pytest.mark.parametrize("kind", ["weight", "subterm"])
+    @given(data=st.data())
+    def test_strict_partial_order(self, kind, data):
+        o = data.draw(orderings(kind))
+        pool = data.draw(order_pools())
+        verdict = {(x, y): compare_atoms(o, x, y)
+                   for x, y in itertools.product(pool, repeat=2)}
+        for (x, y), c in verdict.items():
+            assert (c is Comparison.EQ) == (x is y)
+            assert verdict[y, x] is _CONVERSE[c]
+        for x, y, z in itertools.product(pool, repeat=3):
+            if verdict[x, y] is Comparison.GT is verdict[y, z]:
+                assert verdict[x, z] is Comparison.GT, (x, y, z)
+
+
 class TestGroundTotality:
     @given(ground_atoms(max_depth=2), ground_atoms(max_depth=2))
     def test_weight_total_on_ground(self, a1, a2):
@@ -270,6 +316,29 @@ class TestFinitenessBounds:
                 below = [at for at in pool
                          if compare_atoms(order, at, top) is Comparison.LT]
                 assert len(below) <= n * n
+
+    def test_few_atoms_below_under_subterm(self):
+        # Equal-size arguments of different predicates are incomparable,
+        # so below r(t) lie r(s) for s a proper subterm of t and q(s) for
+        # s a subterm of t: fewer than twice t's subterms, where a
+        # precedence tie on equal argument weight puts every q(s) with
+        # |s| = |t| there too (Catalan-many s for a binary f).
+        order = OrderingSpec(kind="subterm", precedence=("r", "q"))
+        pool = _enumerate_ground_atoms({"a": 0, "f": 2},
+                                       {"q": 1, "r": 1}, 10)
+        tops = [at for at in pool if at.pred == "r"]
+        assert max(symbol_count(at.args[0]) for at in tops) == 9
+        for top in tops:
+            below = [at for at in pool
+                     if compare_atoms(order, at, top) is Comparison.LT]
+            assert len(below) <= 2 * len(_subterms(top.args[0])), top
+
+
+def _subterms(t):
+    out = {t}
+    for u in getattr(t, "args", ()):
+        out |= _subterms(u)
+    return out
 
 
 class TestCachedWeightOrdering:
