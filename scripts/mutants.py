@@ -56,6 +56,8 @@ CUTS_AND_REPUSHES = ("tests/test_cdcl.py::TestCandidateListsAgainstReference"
 WHOLE_RUNS = ("tests/test_cdcl.py::TestWholeRunsAgainstReference"
               "::test_same_run_as_reference")
 MONITORS = "tests/test_cdcl.py::TestMonitorsFire::"
+PENDING = ("tests/test_cdcl.py::TestPendingAgainstScan"
+           "::test_same_first_clauses_as_a_scan")
 
 
 def _no_op(signature: str, test: str) -> Mutant:
@@ -125,26 +127,51 @@ MUTANTS = [
         (CUTS_AND_REPUSHES,)),
     Mutant(
         "pass-takes-the-last-unit-clause", "src/trigsat/cdcl.py",
-        """\
-                if first is None:
-                    first = c, unit
-""",
-        "                first = c, unit\n",
+        "        i = pending.first(1)\n",
+        "        i = max((j for j in pending.heaps[1] if not pending.true[j]"
+        " and pending.nonfalse[j] == 1), default=None)\n",
         (WHOLE_RUNS,)),
     Mutant(
         "pass-skips-learned-clauses-in-its-conflict-test",
         "src/trigsat/cdcl.py",
+        "        while heap and (self.true[heap[0]]"
+        " or self.nonfalse[heap[0]] != free):\n",
         """\
-            else:  # no literal true, at most one unassigned
-                if unit is None:
-""",
-        """\
-            else:  # no literal true, at most one unassigned
-                if unit is None and c.origin == "learned":
-                    continue
-                if unit is None:
+        while heap and (self.true[heap[0]] or self.nonfalse[heap[0]] != free
+                        or free == 0
+                        and self.ground[heap[0]].origin == "learned"):
 """,
         (WHOLE_RUNS,)),
+    Mutant(
+        "cut-forgets-to-requeue-a-unit-clause", "src/trigsat/cdcl.py",
+        """\
+                    nonfalse[i] += 1
+                    if nonfalse[i] < 2:
+                        queue(i)
+""",
+        "                    nonfalse[i] += 1\n",
+        (PENDING,)),
+    Mutant(
+        "unit-heap-not-keyed-by-g-index", "src/trigsat/cdcl.py",
+        "            heapq.heappush(self.heaps[free], i)\n",
+        """\
+            if free:  # units in the order they became units
+                self.heaps[free].append(i)
+            else:
+                heapq.heappush(self.heaps[free], i)
+""",
+        (PENDING,)),
+    Mutant(
+        "clause-added-without-its-counts", "src/trigsat/cdcl.py",
+        """\
+            true.append(values.count(True))
+            nonfalse.append(len(values) - values.count(False))
+""",
+        """\
+            true.append(0)
+            nonfalse.append(len(values))
+""",
+        (PENDING,)),
     Mutant(
         "truncate-keeps-the-last-cut-atom", "src/trigsat/cdcl.py",
         """\

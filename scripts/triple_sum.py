@@ -2,9 +2,11 @@
 """Distribute 1..n over three sets with no additive triple in one set.
 
 Builds the set-theory fixture plus number/triple facts and solves it,
-cross-checking the verdict against an exhaustive three-coloring search.
+cross-checking the verdict against an exhaustive three-coloring search
+for n <= 10.  With several n it solves each in turn and prints one line
+per n; with one, it also prints the sets of a sat answer.
 
-Usage: python3 scripts/triple_sum.py [n]
+Usage: python3 scripts/triple_sum.py [n ...]    (default: 4)
 """
 
 import sys
@@ -28,28 +30,33 @@ def brute_force(n: int) -> bool:
     return False
 
 
-def main() -> int:
-    n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
+def solve(n: int, show_sets: bool) -> None:
     problem = schur_problem(n)
     options = SolveOptions(ordering=corpus_ordering("settheory"))
     started = time.monotonic()
     result = solve_problem(problem, options)
     elapsed = time.monotonic() - started
     stats = result.run.stats
-    print(f"n={n}: {result.verdict_line} in {elapsed:.2f}s "
-          f"(instantiations={stats.instantiations}, "
-          f"conflicts={stats.conflicts}, decides={stats.decides})")
+    line = (f"n={n}: {result.verdict_line} in {elapsed:.2f}s "
+            f"(instantiations={stats.instantiations}, "
+            f"conflicts={stats.conflicts}, decides={stats.decides})")
     if n <= 10:
-        expected = brute_force(n)
-        agree = result.verdict_line == ("sat" if expected else "unsat")
-        print(f"three-coloring oracle: {'sat' if expected else 'unsat'} "
-              f"-> {'agree' if agree else 'DISAGREE'}")
-    if result.verdict_line == "sat":
+        expected = "sat" if brute_force(n) else "unsat"
+        agree = "agree" if result.verdict_line == expected else "DISAGREE"
+        line += f"; three-coloring oracle: {expected} -> {agree}"
+    print(line)
+    if show_sets and result.verdict_line == "sat":
         members = sorted(str(l) for l in result.model
                          if l.positive and l.atom.pred == "mem"
                          and str(l.atom.args[1]) in ("a", "b", "c"))
         for m in members:
             print(" ", m)
+
+
+def main() -> int:
+    ns = [int(arg) for arg in sys.argv[1:]] or [4]
+    for n in ns:
+        solve(n, show_sets=len(ns) == 1)
     return 0
 
 

@@ -11,6 +11,12 @@ undefined literals first, then the most recently determined; ties keep
 clause order.  A literal's recency is the trail position of whichever
 polarity determined its value; the level of a false literal is the level
 of its complement's assignment.
+
+Conflict and Propagate read a pending-clause index (`_Pending`) instead
+of scanning G: per clause, counts of its true and its non-false
+literals, and min-heaps of the indices of the falsified and the unit
+clauses, so each still applies to the first such clause in G order.
+
 Backjump resolves the conflict clause against the reason of its newest
 falsified literal until a unique literal remains at the conflict level; a
 conflict whose newest falsified literal sits at level 0 resolves down to
@@ -54,7 +60,7 @@ class TrailEntry:
 
 class Trail:
     """Assignment list, oldest first; exposes recency and level lookups.
-    `on_cut` gets the atoms each `truncate_keep` or `clear` unassigns."""
+    `on_cut` gets the entries each `truncate_keep` or `clear` removes."""
 
     def __init__(self, on_cut: Optional[Callable] = None) -> None:
         self.entries: list[TrailEntry] = []
@@ -101,7 +107,7 @@ class Trail:
         for e in cut:
             del self._at[e.literal.atom]
         if self._on_cut is not None:
-            self._on_cut(e.literal.atom for e in cut)
+            self._on_cut(cut)
 
     def clear(self) -> None:
         self.truncate_keep(0)
@@ -234,6 +240,87 @@ class _Candidates:
                 lst.pop()
 
 
+class _Pending:
+    """The clauses of G that Conflict or Propagate may apply to.  For each
+    clause, by index in G, it counts the literals the trail makes true and
+    those it does not make false; `heaps[0]` and `heaps[1]` are min-heaps
+    of the indices of the clauses with no true literal and no, or one,
+    literal not false.  Every such clause is in its heap, once (`queued`);
+    an entry whose clause has stopped being one is dropped when it reaches
+    the top.  `sync` takes in the trail entries and then the clauses of G
+    added since its last call, and a cut gives back the counts of the
+    entries it removes that were taken in."""
+
+    def __init__(self, ground: list[Clause], trail: Trail) -> None:
+        self.ground = ground  # G itself, shared with the solver
+        self.trail = trail
+        self.true: list[int] = []
+        self.nonfalse: list[int] = []
+        # atom -> the indices of the clauses where it occurs negative,
+        # and those where it occurs positive
+        self.occurs: dict[Atom, tuple[list[int], list[int]]] = {}
+        self.heaps: tuple[list[int], list[int]] = ([], [])
+        self.queued: tuple[set[int], set[int]] = (set(), set())
+        self._taken = 0  # the trail entries taken in
+
+    def _queue(self, i: int) -> None:
+        """Queue clause i if it is pending and not queued yet."""
+        free = self.nonfalse[i]
+        if free < 2 and not self.true[i] and i not in self.queued[free]:
+            self.queued[free].add(i)
+            heapq.heappush(self.heaps[free], i)
+
+    def sync(self) -> None:
+        """Take in the trail entries, then the clauses of G, added since
+        the last call."""
+        true, nonfalse, queue = self.true, self.nonfalse, self._queue
+        entries = self.trail.entries
+        for e in entries[self._taken:]:
+            occ = self.occurs.get(e.literal.atom)
+            if occ is not None:
+                for i in occ[e.literal.positive]:
+                    true[i] += 1
+                for i in occ[not e.literal.positive]:
+                    nonfalse[i] -= 1
+                    if nonfalse[i] < 2:
+                        queue(i)
+        self._taken = len(entries)
+        for i in range(len(true), len(self.ground)):
+            lits = self.ground[i].literals
+            values = [self.trail.value(l) for l in lits]
+            true.append(values.count(True))
+            nonfalse.append(len(values) - values.count(False))
+            for l in lits:
+                self.occurs.setdefault(l.atom, ([], []))[l.positive].append(i)
+            queue(i)
+
+    def cut(self, cut: list[TrailEntry]) -> None:
+        """Give back the counts of the cut entries that were taken in, and
+        queue each clause they leave pending."""
+        true, nonfalse, queue = self.true, self.nonfalse, self._queue
+        keep = len(self.trail.entries)
+        for e in cut[:max(self._taken - keep, 0)]:
+            occ = self.occurs.get(e.literal.atom)
+            if occ is not None:
+                for i in occ[e.literal.positive]:
+                    true[i] -= 1
+                    if nonfalse[i] < 2:
+                        queue(i)
+                for i in occ[not e.literal.positive]:
+                    nonfalse[i] += 1
+                    if nonfalse[i] < 2:
+                        queue(i)
+        self._taken = min(self._taken, keep)
+
+    def first(self, free: int) -> Optional[int]:
+        """The least index of a clause of G with no true literal and `free`
+        (0 or 1) literals not false, if any, as of the last `sync`."""
+        heap, queued = self.heaps[free], self.queued[free]
+        while heap and (self.true[heap[0]] or self.nonfalse[heap[0]] != free):
+            queued.discard(heapq.heappop(heap))
+        return heap[0] if heap else None
+
+
 class _Monitors:
     """The paper's invariants, checked at each rule event; each breach
     appends one `... monitor: ...` message to `violations`.  The Horn claim
@@ -329,6 +416,7 @@ class Solver:
         self._tracing = trace
         self.ground: list[Clause] = []
         self._ground_keys: set = set()
+        self._pending = _Pending(self.ground, self.trail)
         # Each theory clause with its trigger patterns (the complements of
         # its selected literals), their candidate keys and the memo of its
         # exhausted matches (`_search`).
@@ -362,11 +450,13 @@ class Solver:
         self._heap.push(new)
         return slim
 
-    def _cut(self, atoms: Iterable[Atom]) -> None:
-        """The trail's cut hook: requeue the unassigned atoms for Decide
-        and drop their literals from the candidate lists."""
-        self._heap.push(atoms)
+    def _cut(self, cut: list[TrailEntry]) -> None:
+        """The trail's cut hook: requeue the unassigned atoms for Decide,
+        drop their literals from the candidate lists and give back their
+        counts in the pending-clause index."""
+        self._heap.push(e.literal.atom for e in cut)
         self._candidates.cut(self.trail)
+        self._pending.cut(cut)
 
     def _emit(self, fmt: str, *args: object) -> None:
         # Formatted only when tracing: str() of a clause walks its terms.
@@ -387,32 +477,25 @@ class Solver:
 
     def propagate(self) -> bool:
         """Conflict on the first clause of G the trail falsifies, else
-        Propagate the first unit clause of G, in one pass over G."""
+        Propagate the first unit clause of G.  The pending-clause index
+        names both, so only the chosen clause is read."""
         assert self.lc is None
-        value = self.trail.value
-        first: Optional[tuple[Clause, Literal]] = None
-        for c in self.ground:
-            unit = None
-            for lit in c.literals:
-                v = value(lit)
-                if v is True or (v is None and unit is not None):
-                    break
-                if v is None:
-                    unit = lit
-            else:  # no literal true, at most one unassigned
-                if unit is None:
-                    self.lc = c
-                    self.stats.conflicts += 1
-                    if self.trail.level > 0:
-                        self.stats.conflicts_above_level0 += 1
-                    self.monitors.conflict(self.trail, c)
-                    self._emit("conflict {} level={}", c, self.trail.level)
-                    return True
-                if first is None:
-                    first = c, unit
-        if first is None:
+        pending = self._pending
+        pending.sync()
+        i = pending.first(0)
+        if i is not None:
+            c = self.lc = self.ground[i]
+            self.stats.conflicts += 1
+            if self.trail.level > 0:
+                self.stats.conflicts_above_level0 += 1
+            self.monitors.conflict(self.trail, c)
+            self._emit("conflict {} level={}", c, self.trail.level)
+            return True
+        i = pending.first(1)
+        if i is None:
             return False
-        c, lit = first
+        c = self.ground[i]
+        lit = next(l for l in c.literals if self.trail.value(l) is None)
         level = self.trail.level
         self.monitors.propagate(self.trail, c, lit)
         self.trail.push(lit, level, c)
@@ -542,8 +625,9 @@ class Solver:
         newest = self._candidates.newest
         n = len(patterns)
         # ends[i]: the newest stamp in the lists of pattern i and later.
-        ends = [max((l[-1][0] for l in lists[i:]), default=0)
-                for i in range(n + 1)]
+        ends = [0] * (n + 1)
+        for i in reversed(range(n)):
+            ends[i] = max(ends[i + 1], lists[i][-1][0])
         if memo.get((), -1) >= ends[0]:
             return None
         lists = [*lists, ()]  # for the frame of a full match

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import trigsat.cdcl
 from trigsat.cdcl import (Budget, Solver, Trail, Verdict, _Monitors,
                           sort_clause)
+from trigsat.corpus import corpus_ordering, schur_problem
 from trigsat.models import ProductionRecord, produce_model
 from trigsat.ordering import Comparison, OrderingSpec, compare_atoms
 from trigsat.parser import parse_problem
@@ -66,7 +67,8 @@ def solver_for(ground, theory=(), selection=None, **kw):
 class TestTrail:
     def test_cut_atom_is_unassigned_and_takes_the_other_polarity(self):
         cut = []
-        trail = Trail(lambda atoms: cut.extend(atoms))
+        trail = Trail(lambda entries: cut.extend(e.literal.atom
+                                                  for e in entries))
         trail.push(prop("a"), 0, None)
         trail.push(prop("b", False), 1, None)
         trail.push(prop("c"), 1, None)
@@ -568,6 +570,66 @@ class TestCandidateListsAgainstReference:
                     s.trail.push(trail_lit, 0, None)
 
 
+_PENDING_ATOMS = [Atom(f"x{i}") for i in range(5)]
+_pending_literals = st.builds(Literal, st.sampled_from(_PENDING_ATOMS),
+                              st.booleans())
+# Up to three literals, an atom possibly in both polarities; G merges
+# repeated literals.
+_pending_clauses = st.builds(
+    lambda lits, origin: Clause(tuple(lits), origin=origin),
+    st.lists(_pending_literals, max_size=3),
+    st.sampled_from(("input-ground", "instance", "learned")))
+
+
+def _scan_first(ground, trail_literals):
+    """(index of the first clause of G with every literal false, index of
+    the first with none true and one unassigned), each None if G has
+    none: the scan that the pending-clause index replaces."""
+    true = set(trail_literals)
+    first = [None, None]
+    for i, c in enumerate(ground):
+        if any(l in true for l in c.literals):
+            continue
+        free = sum(l.complement() not in true for l in c.literals)
+        if free < 2 and first[free] is None:
+            first[free] = i
+    return tuple(first)
+
+
+class TestPendingAgainstScan:
+    """The pending-clause index names the first falsified and the first
+    unit clause of G that a scan finds, after any run of pushes, cuts and
+    new clauses, whether or not it took in each step before the next."""
+
+    @settings(max_examples=200)
+    @given(st.lists(_pending_clauses, max_size=6), st.data())
+    def test_same_first_clauses_as_a_scan(self, ground, data):
+        s = solver_for(ground)
+        pending = s._pending
+        for _ in range(data.draw(st.integers(1, 40))):
+            op = data.draw(st.sampled_from(
+                ("push", "push", "push", "cut", "clear", "add")))
+            if op == "push":
+                free = [x for x in _PENDING_ATOMS if not s.trail.defines(x)]
+                if free:
+                    s.trail.push(Literal(data.draw(st.sampled_from(free)),
+                                         data.draw(st.booleans())), 0, None)
+            elif op == "cut":
+                s.trail.truncate_keep(data.draw(
+                    st.integers(0, len(s.trail.entries))))
+            elif op == "clear":
+                s.trail.clear()
+            elif op == "add":
+                s._add_ground(data.draw(_pending_clauses))
+            if data.draw(st.booleans()):
+                pending.sync()
+                assert (pending.first(0), pending.first(1)) == \
+                    _scan_first(s.ground, s.trail.literals())
+        pending.sync()
+        assert (pending.first(0), pending.first(1)) == \
+            _scan_first(s.ground, s.trail.literals())
+
+
 class TestWorkedRuns:
     def run_text(self, text, **options):
         problem = parse_problem(text)
@@ -626,6 +688,28 @@ class TestWorkedRuns:
         assert result.verdict_line == "sat"
         assert result.run.stats.instantiations == 2 * k
         assert len(calls) <= 3 * result.run.stats.instantiations
+
+    def test_conflict_and_propagate_read_a_few_literals_per_step(self):
+        # The pending-clause index reads only the clause it picks, so the
+        # reads per rule application do not grow with G.  The scan of G
+        # that it replaced made 236,273 `Trail.value` calls on this run,
+        # 172 per step; the index makes 1,925.
+        calls = []
+        value = Trail.value
+
+        def counting(trail, lit):
+            calls.append(lit)
+            return value(trail, lit)
+
+        with mock.patch.object(Trail, "value", counting):
+            result = solve_problem(schur_problem(6), SolveOptions(
+                ordering=corpus_ordering("settheory")))
+        stats = result.run.stats
+        steps = (stats.decides + stats.propagates + stats.conflicts
+                 + stats.backjumps + stats.learns + stats.instantiations)
+        assert result.verdict_line == "sat"
+        assert (steps, len(result.run.final_ground)) == (1373, 188)
+        assert len(calls) <= 2 * steps
 
     def test_divergent_triggers_hit_instantiation_budget(self):
         text = ("*~p(X1, Y1) | q(f(X1), Y1)\n"
