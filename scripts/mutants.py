@@ -127,49 +127,69 @@ MUTANTS = [
         (CUTS_AND_REPUSHES,)),
     Mutant(
         "pass-takes-the-last-unit-clause", "src/trigsat/cdcl.py",
-        "        i = pending.first(1)\n",
-        "        i = max((j for j in pending.heaps[1] if not pending.true[j]"
-        " and pending.nonfalse[j] == 1), default=None)\n",
+        "        free, i = top\n",
+        """\
+        free, i = top
+        if free:  # the largest unit index, not the least
+            pending = self._pending
+            i = max(j for f, j in pending.heap
+                    if f and not pending.true[j] and pending.nonfalse[j] == 1)
+""",
         (WHOLE_RUNS,)),
     Mutant(
         "pass-skips-learned-clauses-in-its-conflict-test",
         "src/trigsat/cdcl.py",
-        "        while heap and (self.true[heap[0]]"
-        " or self.nonfalse[heap[0]] != free):\n",
+        "        top = self._pending.first()\n",
         """\
-        while heap and (self.true[heap[0]] or self.nonfalse[heap[0]] != free
-                        or free == 0
-                        and self.ground[heap[0]].origin == "learned"):
+        pending = self._pending
+        top = pending.first()
+        while (top is not None and not top[0]
+               and self.ground[top[1]].origin == "learned"):
+            pending.queued.discard(heapq.heappop(pending.heap))
+            top = pending.first()
 """,
         (WHOLE_RUNS,)),
     Mutant(
         "cut-forgets-to-requeue-a-unit-clause", "src/trigsat/cdcl.py",
         """\
-                    nonfalse[i] += 1
-                    if nonfalse[i] < 2:
-                        queue(i)
+                nonfalse[i] -= sign
+                if nonfalse[i] < 2:
 """,
-        "                    nonfalse[i] += 1\n",
+        """\
+                nonfalse[i] -= sign
+                if nonfalse[i] < 2 and sign > 0:
+""",
         (PENDING,)),
     Mutant(
         "unit-heap-not-keyed-by-g-index", "src/trigsat/cdcl.py",
-        "            heapq.heappush(self.heaps[free], i)\n",
+        "            heapq.heappush(self.heap, key)\n",
         """\
-            if free:  # units in the order they became units
-                self.heaps[free].append(i)
+            if key[0]:  # units in the order they became units
+                self.heap.append(key)
             else:
-                heapq.heappush(self.heaps[free], i)
+                heapq.heappush(self.heap, key)
 """,
         (PENDING,)),
     Mutant(
         "clause-added-without-its-counts", "src/trigsat/cdcl.py",
         """\
-            true.append(values.count(True))
-            nonfalse.append(len(values) - values.count(False))
+        self.true.append(values.count(True))
+        self.nonfalse.append(len(values) - values.count(False))
 """,
         """\
-            true.append(0)
-            nonfalse.append(len(values))
+        self.true.append(0)
+        self.nonfalse.append(len(values))
+""",
+        (PENDING,)),
+    Mutant(
+        "cut-keeps-the-last-cut-entrys-counts", "src/trigsat/cdcl.py",
+        """\
+        for e in cut:
+            self._pending.count(e, -1)
+""",
+        """\
+        for e in cut[:-1]:
+            self._pending.count(e, -1)
 """,
         (PENDING,)),
     Mutant(
@@ -196,6 +216,12 @@ MUTANTS = [
         ("tests/test_cdcl.py::TestBackjumpLearn::"
          "test_backjump_resolves_with_reason",)),
     _no_op("conflict(self, trail: Trail, c: Clause)", "test_conflict_level"),
+    Mutant(
+        "conflict-level-monitor-compares-the-newest-level-with-itself",
+        "src/trigsat/cdcl.py",
+        "            if levels[0] != levels[1]:\n",
+        "            if levels[0] != levels[0]:\n",
+        (MONITORS + "test_conflict_level",)),
     _no_op("propagate(self, trail: Trail, c: Clause, lit: Literal)",
            "test_propagation_level"),
     _no_op("step(self)", "test_step_count_resets_on_instantiate_and_learn"),

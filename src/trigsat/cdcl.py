@@ -14,8 +14,10 @@ of its complement's assignment.
 
 Conflict and Propagate read a pending-clause index (`_Pending`) instead
 of scanning G: per clause, counts of its true and its non-false
-literals, and min-heaps of the indices of the falsified and the unit
-clauses, so each still applies to the first such clause in G order.
+literals, kept current at each trail push and cut and for each new
+clause, and one min-heap of (free, index) pairs, so Conflict still
+applies to the first falsified clause in G order and, failing that,
+Propagate to the first unit clause.
 
 Backjump resolves the conflict clause against the reason of its newest
 falsified literal until a unique literal remains at the conflict level; a
@@ -60,12 +62,15 @@ class TrailEntry:
 
 class Trail:
     """Assignment list, oldest first; exposes recency and level lookups.
-    `on_cut` gets the entries each `truncate_keep` or `clear` removes."""
+    `on_push` gets each entry as it is pushed, and `on_cut` the entries
+    each `truncate_keep` or `clear` removes."""
 
-    def __init__(self, on_cut: Optional[Callable] = None) -> None:
+    def __init__(self, on_cut: Optional[Callable] = None,
+                 on_push: Optional[Callable] = None) -> None:
         self.entries: list[TrailEntry] = []
         self._at: dict[Atom, int] = {}  # atom -> position of its entry
         self._on_cut = on_cut
+        self._on_push = on_push
 
     @property
     def level(self) -> int:
@@ -99,6 +104,8 @@ class Trail:
         assert lit.atom not in self._at, f"atom already assigned: {lit.atom}"
         self._at[lit.atom] = len(self.entries)
         self.entries.append(TrailEntry(lit, level, reason))
+        if self._on_push is not None:
+            self._on_push(self.entries[-1])
 
     def truncate_keep(self, keep: int) -> None:
         """Keep the first `keep` entries."""
@@ -243,82 +250,65 @@ class _Candidates:
 class _Pending:
     """The clauses of G that Conflict or Propagate may apply to.  For each
     clause, by index in G, it counts the literals the trail makes true and
-    those it does not make false; `heaps[0]` and `heaps[1]` are min-heaps
-    of the indices of the clauses with no true literal and no, or one,
-    literal not false.  Every such clause is in its heap, once (`queued`);
-    an entry whose clause has stopped being one is dropped when it reaches
-    the top.  `sync` takes in the trail entries and then the clauses of G
-    added since its last call, and a cut gives back the counts of the
-    entries it removes that were taken in."""
+    those it does not make false, current at every push, cut and new
+    clause.  `heap` is a min-heap of (free, index) for the clauses with no
+    true literal and `free` (0 or 1) literals not false, so a falsified
+    clause comes before a unit one.  Every such clause is in it, once
+    (`queued`); an entry whose clause has stopped being one is dropped
+    when it reaches the top."""
 
-    def __init__(self, ground: list[Clause], trail: Trail) -> None:
-        self.ground = ground  # G itself, shared with the solver
-        self.trail = trail
+    def __init__(self) -> None:
         self.true: list[int] = []
         self.nonfalse: list[int] = []
-        # atom -> the indices of the clauses where it occurs negative,
-        # and those where it occurs positive
+        # atom -> the indices of the clauses where it occurs negative, and
+        # those where it occurs positive; its keys are G's atoms in
+        # first-seen order
         self.occurs: dict[Atom, tuple[list[int], list[int]]] = {}
-        self.heaps: tuple[list[int], list[int]] = ([], [])
-        self.queued: tuple[set[int], set[int]] = (set(), set())
-        self._taken = 0  # the trail entries taken in
+        self.heap: list[tuple[int, int]] = []
+        self.queued: set[tuple[int, int]] = set()
 
     def _queue(self, i: int) -> None:
         """Queue clause i if it is pending and not queued yet."""
-        free = self.nonfalse[i]
-        if free < 2 and not self.true[i] and i not in self.queued[free]:
-            self.queued[free].add(i)
-            heapq.heappush(self.heaps[free], i)
+        key = (self.nonfalse[i], i)
+        if key[0] < 2 and not self.true[i] and key not in self.queued:
+            self.queued.add(key)
+            heapq.heappush(self.heap, key)
 
-    def sync(self) -> None:
-        """Take in the trail entries, then the clauses of G, added since
-        the last call."""
-        true, nonfalse, queue = self.true, self.nonfalse, self._queue
-        entries = self.trail.entries
-        for e in entries[self._taken:]:
-            occ = self.occurs.get(e.literal.atom)
-            if occ is not None:
-                for i in occ[e.literal.positive]:
-                    true[i] += 1
-                for i in occ[not e.literal.positive]:
-                    nonfalse[i] -= 1
-                    if nonfalse[i] < 2:
-                        queue(i)
-        self._taken = len(entries)
-        for i in range(len(true), len(self.ground)):
-            lits = self.ground[i].literals
-            values = [self.trail.value(l) for l in lits]
-            true.append(values.count(True))
-            nonfalse.append(len(values) - values.count(False))
-            for l in lits:
-                self.occurs.setdefault(l.atom, ([], []))[l.positive].append(i)
-            queue(i)
+    def count(self, e: TrailEntry, sign: int = 1) -> None:
+        """Take in the counts of a pushed entry, or give them back (sign
+        -1) for a cut one, and queue each clause it leaves pending."""
+        occ = self.occurs.get(e.literal.atom)
+        if occ is not None:
+            true, nonfalse, queue = self.true, self.nonfalse, self._queue
+            for i in occ[e.literal.positive]:
+                true[i] += sign
+                if nonfalse[i] < 2:
+                    queue(i)
+            for i in occ[not e.literal.positive]:
+                nonfalse[i] -= sign
+                if nonfalse[i] < 2:
+                    queue(i)
 
-    def cut(self, cut: list[TrailEntry]) -> None:
-        """Give back the counts of the cut entries that were taken in, and
-        queue each clause they leave pending."""
-        true, nonfalse, queue = self.true, self.nonfalse, self._queue
-        keep = len(self.trail.entries)
-        for e in cut[:max(self._taken - keep, 0)]:
-            occ = self.occurs.get(e.literal.atom)
-            if occ is not None:
-                for i in occ[e.literal.positive]:
-                    true[i] -= 1
-                    if nonfalse[i] < 2:
-                        queue(i)
-                for i in occ[not e.literal.positive]:
-                    nonfalse[i] += 1
-                    if nonfalse[i] < 2:
-                        queue(i)
-        self._taken = min(self._taken, keep)
+    def add(self, c: Clause, trail: Trail) -> None:
+        """Take in c, the newest clause of G, with its counts on trail."""
+        i = len(self.true)
+        values = [trail.value(l) for l in c.literals]
+        self.true.append(values.count(True))
+        self.nonfalse.append(len(values) - values.count(False))
+        for l in c.literals:
+            self.occurs.setdefault(l.atom, ([], []))[l.positive].append(i)
+        self._queue(i)
 
-    def first(self, free: int) -> Optional[int]:
-        """The least index of a clause of G with no true literal and `free`
-        (0 or 1) literals not false, if any, as of the last `sync`."""
-        heap, queued = self.heaps[free], self.queued[free]
-        while heap and (self.true[heap[0]] or self.nonfalse[heap[0]] != free):
-            queued.discard(heapq.heappop(heap))
-        return heap[0] if heap else None
+    def first(self) -> Optional[tuple[int, int]]:
+        """(0, index) of the first clause of G the trail falsifies, else
+        (1, index) of the first unit clause, if any."""
+        heap = self.heap
+        while heap:
+            free, i = heap[0]
+            if not self.true[i] and self.nonfalse[i] == free:
+                return heap[0]
+            self.queued.discard(heapq.heappop(heap))
+        return None
 
 
 class _Monitors:
@@ -343,8 +333,8 @@ class _Monitors:
         if self.horn and level > 0:
             self._note(f"horn monitor: conflict at level {level} on {c}")
         if len(c) >= 2:
-            l1, l2 = sort_clause(trail, c)[:2]
-            if trail.level_of(l1) != trail.level_of(l2):
+            levels = heapq.nlargest(2, map(trail.level_of, c.literals))
+            if levels[0] != levels[1]:
                 self._note(f"conflict-level monitor: two newest falsified "
                            f"literals of {c} at different levels")
         if len(c) == 1 and level > 0:
@@ -354,7 +344,7 @@ class _Monitors:
 
     def propagate(self, trail: Trail, c: Clause, lit: Literal) -> None:
         if len(c) >= 2:
-            second = trail.level_of(sort_clause(trail, c)[1])
+            second = max(trail.level_of(l) for l in c.literals if l is not lit)
             if second != trail.level:
                 self._note(f"propagation-level monitor: {c} propagates {lit} "
                            f"at level {trail.level} but its second literal "
@@ -406,17 +396,15 @@ class Solver:
         self.budget = budget
         self._deadline = (time.monotonic() + budget.timeout
                           if deadline is None else deadline)
-        # The atoms of G in first-seen order; G only grows.
-        self._atoms: dict[Atom, None] = {}
         self._heap = _DecideHeap(ordering)
-        self.trail = Trail(self._cut)
+        self._pending = _Pending()
+        self.trail = Trail(self._cut, self._pending.count)
         self.lc: Optional[Clause] = None
         self.stats = RunStats()
         self.trace: list[str] = []
         self._tracing = trace
         self.ground: list[Clause] = []
         self._ground_keys: set = set()
-        self._pending = _Pending(self.ground, self.trail)
         # Each theory clause with its trigger patterns (the complements of
         # its selected literals), their candidate keys and the memo of its
         # exhausted matches (`_search`).
@@ -430,7 +418,8 @@ class Solver:
             k for _, _, keys, _ in self._triggers for k in keys)
         for c in ground:
             self._add_ground(c)
-        self.monitors = _Monitors([*self.ground, *theory], self._atoms,
+        self.monitors = _Monitors([*self.ground, *theory],
+                                  self._pending.occurs,  # G's atoms
                                   self.stats.monitor_violations)
 
     # -- bookkeeping ---------------------------------------------------
@@ -445,9 +434,9 @@ class Solver:
             return None
         self._ground_keys.add(slim.key)
         self.ground.append(slim)
-        new = [lit.atom for lit in slim.literals if lit.atom not in self._atoms]
-        self._atoms.update(dict.fromkeys(new))
-        self._heap.push(new)
+        self._heap.push([l.atom for l in slim.literals
+                         if l.atom not in self._pending.occurs])
+        self._pending.add(slim, self.trail)
         return slim
 
     def _cut(self, cut: list[TrailEntry]) -> None:
@@ -456,7 +445,8 @@ class Solver:
         counts in the pending-clause index."""
         self._heap.push(e.literal.atom for e in cut)
         self._candidates.cut(self.trail)
-        self._pending.cut(cut)
+        for e in cut:
+            self._pending.count(e, -1)
 
     def _emit(self, fmt: str, *args: object) -> None:
         # Formatted only when tracing: str() of a clause walks its terms.
@@ -478,23 +468,21 @@ class Solver:
     def propagate(self) -> bool:
         """Conflict on the first clause of G the trail falsifies, else
         Propagate the first unit clause of G.  The pending-clause index
-        names both, so only the chosen clause is read."""
+        names the clause, so only it is read."""
         assert self.lc is None
-        pending = self._pending
-        pending.sync()
-        i = pending.first(0)
-        if i is not None:
-            c = self.lc = self.ground[i]
+        top = self._pending.first()
+        if top is None:
+            return False
+        free, i = top
+        c = self.ground[i]
+        if not free:
+            self.lc = c
             self.stats.conflicts += 1
             if self.trail.level > 0:
                 self.stats.conflicts_above_level0 += 1
             self.monitors.conflict(self.trail, c)
             self._emit("conflict {} level={}", c, self.trail.level)
             return True
-        i = pending.first(1)
-        if i is None:
-            return False
-        c = self.ground[i]
         lit = next(l for l in c.literals if self.trail.value(l) is None)
         level = self.trail.level
         self.monitors.propagate(self.trail, c, lit)

@@ -16,11 +16,11 @@ import itertools
 import math
 import time
 from functools import cmp_to_key
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sized
 
 from trigsat.cdcl import (Budget, BudgetExceeded, RunResult, RunStats,
-                          TrailEntry, Verdict, _candidate_key, _Monitors,
-                          _slim, sort_clause)
+                          TrailEntry, Verdict, _candidate_key, _slim,
+                          sort_clause)
 from trigsat.corpus import CORPORA
 from trigsat.models import ProductionRecord, filter_clause_indexed, int_of
 from trigsat.ordering import (Comparison, OrderingSpec, atom_order_key,
@@ -683,6 +683,75 @@ class _RefDecideHeap:
         return heap[0][1] if heap else None
 
 
+class _RefMonitors:
+    """`trigsat.cdcl._Monitors` as it was when it sorted a clause to find
+    the levels of its newest literals.  The paper's invariants, checked at
+    each rule event; each breach appends one `... monitor: ...` message to
+    `violations`.  The Horn claim (no conflict above level 0) and the 2SAT
+    claim (every learned clause a unit) are on only when every clause
+    given to the solver is in their fragment; instances and learned
+    clauses stay in it."""
+
+    def __init__(self, clauses: list[Clause], atoms: Sized,
+                 violations: list[str]) -> None:
+        self.horn = all(sum(l.positive for l in c.literals) <= 1
+                        for c in clauses)
+        self.twosat = all(len(c) <= 2 for c in clauses)
+        self.atoms = atoms  # G's atoms, shared with the solver
+        self._note = violations.append
+        self._steps = 0  # Decide+Propagate steps since Instantiate/Learn
+        self._backjumps = 0  # Backjump steps in the current conflict
+
+    def conflict(self, trail: RefTrail, c: Clause) -> None:
+        level = trail.level
+        if self.horn and level > 0:
+            self._note(f"horn monitor: conflict at level {level} on {c}")
+        if len(c) >= 2:
+            l1, l2 = sort_clause(trail, c)[:2]
+            if trail.level_of(l1) != trail.level_of(l2):
+                self._note(f"conflict-level monitor: two newest falsified "
+                           f"literals of {c} at different levels")
+        if len(c) == 1 and level > 0:
+            self._note(f"unit-conflict monitor: unit clause {c} conflicting "
+                       f"at level {level}")
+        self._backjumps = 0
+
+    def propagate(self, trail: RefTrail, c: Clause, lit: Literal) -> None:
+        if len(c) >= 2:
+            second = trail.level_of(sort_clause(trail, c)[1])
+            if second != trail.level:
+                self._note(f"propagation-level monitor: {c} propagates {lit} "
+                           f"at level {trail.level} but its second literal "
+                           f"was falsified at level {second}")
+
+    def step(self) -> None:
+        self._steps += 1
+        n = len(self.atoms)
+        if self._steps > max(n, 1):
+            self._note(f"step-count monitor: {self._steps} decide/propagate "
+                       f"steps since the last instantiate/learn with {n} "
+                       f"atoms")
+
+    def backjump(self) -> None:
+        self._backjumps += 1
+        n = len(self.atoms)
+        if self._backjumps > n:
+            self._note(f"backjump-count monitor: {self._backjumps} resolution"
+                       f" steps in one conflict with {n} atoms")
+
+    def learn(self, trail: RefTrail, c: Clause) -> None:
+        if trail.level == 0 and len(c) > 1:
+            self._note(f"level-zero monitor: learned clause {c} with "
+                       f"{len(c)} literals at level 0")
+        if self.twosat and len(c) >= 2:
+            self._note(f"2sat monitor: learned clause {c} has {len(c)} "
+                       f"literals")
+        self._steps = 0
+
+    def instantiate(self) -> None:
+        self._steps = 0
+
+
 # The conflict cap the engine had when it was frozen here.
 MAX_CONFLICTS = 200_000
 
@@ -692,9 +761,9 @@ class RefSolver:
     for Propagate, on `RefTrail`.  It is the whole-run specification the
     engine is held to: each rule's choice, the stats, the monitor
     messages, the trace and G's final order.  It shares only helpers the
-    engine has not changed since (`sort_clause`, `_Monitors`, `_slim`,
+    engine has not changed since (`sort_clause`, `_slim`,
     `_candidate_key`, the result types); a change to one of those copies
-    it here first."""
+    it here first, as `_RefMonitors` is."""
 
     def __init__(self, ground: Iterable[Clause],
                  theory: list[Clause],
@@ -732,7 +801,7 @@ class RefSolver:
             self._triggers.append((c, patterns, keys))
         for c in ground:
             self._add_ground(c)
-        self.monitors = _Monitors([*self.ground, *theory], self._atoms,
+        self.monitors = _RefMonitors([*self.ground, *theory], self._atoms,
                                   self.stats.monitor_violations)
 
     # -- bookkeeping ---------------------------------------------------

@@ -573,18 +573,19 @@ class TestCandidateListsAgainstReference:
 _PENDING_ATOMS = [Atom(f"x{i}") for i in range(5)]
 _pending_literals = st.builds(Literal, st.sampled_from(_PENDING_ATOMS),
                               st.booleans())
-# Up to three literals, an atom possibly in both polarities; G merges
-# repeated literals.
+# One to three literals, an atom possibly in both polarities; G merges
+# repeated literals.  No empty clause: it is falsified under every trail,
+# so once in G it would be the answer to every later check.
 _pending_clauses = st.builds(
     lambda lits, origin: Clause(tuple(lits), origin=origin),
-    st.lists(_pending_literals, max_size=3),
+    st.lists(_pending_literals, min_size=1, max_size=3),
     st.sampled_from(("input-ground", "instance", "learned")))
 
 
 def _scan_first(ground, trail_literals):
-    """(index of the first clause of G with every literal false, index of
-    the first with none true and one unassigned), each None if G has
-    none: the scan that the pending-clause index replaces."""
+    """(0, index) of the first clause of G with every literal false, else
+    (1, index) of the first with none true and one unassigned, else None:
+    the scan that the pending-clause index replaces."""
     true = set(trail_literals)
     first = [None, None]
     for i, c in enumerate(ground):
@@ -593,13 +594,13 @@ def _scan_first(ground, trail_literals):
         free = sum(l.complement() not in true for l in c.literals)
         if free < 2 and first[free] is None:
             first[free] = i
-    return tuple(first)
+    return next(((free, i) for free, i in enumerate(first) if i is not None),
+                None)
 
 
 class TestPendingAgainstScan:
-    """The pending-clause index names the first falsified and the first
-    unit clause of G that a scan finds, after any run of pushes, cuts and
-    new clauses, whether or not it took in each step before the next."""
+    """After every push, cut and new clause, the pending-clause index names
+    the clause a scan finds, and its atoms are G's in first-seen order."""
 
     @settings(max_examples=200)
     @given(st.lists(_pending_clauses, max_size=6), st.data())
@@ -621,13 +622,10 @@ class TestPendingAgainstScan:
                 s.trail.clear()
             elif op == "add":
                 s._add_ground(data.draw(_pending_clauses))
-            if data.draw(st.booleans()):
-                pending.sync()
-                assert (pending.first(0), pending.first(1)) == \
-                    _scan_first(s.ground, s.trail.literals())
-        pending.sync()
-        assert (pending.first(0), pending.first(1)) == \
-            _scan_first(s.ground, s.trail.literals())
+            assert pending.first() == _scan_first(s.ground,
+                                                  s.trail.literals())
+            assert list(pending.occurs) == list(dict.fromkeys(
+                l.atom for c in s.ground for l in c.literals))
 
 
 class TestWorkedRuns:
