@@ -58,6 +58,8 @@ WHOLE_RUNS = ("tests/test_cdcl.py::TestWholeRunsAgainstReference"
 MONITORS = "tests/test_cdcl.py::TestMonitorsFire::"
 PENDING = ("tests/test_cdcl.py::TestPendingAgainstScan"
            "::test_same_first_clauses_as_a_scan")
+RESOLVENTS = ("tests/test_saturation.py::TestOnePassConclusions"
+              "::test_resolvents_match_reference")
 
 
 def _no_op(signature: str, test: str) -> Mutant:
@@ -203,6 +205,27 @@ MUTANTS = [
             del self._at[e.literal.atom]
 """,
         (WHOLE_RUNS,)),
+    Mutant(
+        "image-variables-mapped-again", "src/trigsat/terms.py",
+        "                    theta[t] = _rewrite(image, names.get)\n",
+        """\
+                    theta[t] = _rewrite(_rewrite(
+                        image, lambda u: sigma.get(rho.get(u, u),
+                                                   rho.get(u, u))),
+                        names.get)
+""",
+        (RESOLVENTS,)),
+    Mutant(
+        "set-comparison-despite-a-repeated-literal", "src/trigsat/ordering.py",
+        "    s1, s2 = c1.distinct, c2.distinct\n",
+        "    s1, s2 = frozenset(c1.literals), frozenset(c2.literals)\n",
+        ("tests/test_ordering.py::TestCompareClauses"
+         "::test_matches_reference_with_repeated_literals",)),
+    Mutant(
+        "resolve-does-not-rename-apart", "src/trigsat/saturation.py",
+        "    shared = c2.variables & c1.variables\n",
+        "    shared = frozenset()\n",
+        (RESOLVENTS,)),
     Mutant(
         "backjump-never-applicable", "src/trigsat/cdcl.py",
         "    def backjump_applicable(self) -> bool:\n",

@@ -367,12 +367,14 @@ def maximum_literal(o: OrderingSpec, c: Clause) -> Optional[Literal]:
     """The unique literal strictly greater than all others, if it exists."""
     if c.is_empty:
         raise ValueError("empty clause has no maximum literal")
-    counts: Counter = Counter(c.literals)
-    for lit in counts:
-        if counts[lit] > 1:
-            continue
+    values = candidates = c.literals
+    if c.distinct is None:  # a repeated literal is never the maximum
+        counts = Counter(c.literals)
+        values = list(counts)
+        candidates = [l for l in values if counts[l] == 1]
+    for lit in candidates:
         if all(compare_literals(o, lit, other) is Comparison.GT
-               for other in counts if other != lit):
+               for other in values if other is not lit):
             return lit
     return None
 
@@ -381,10 +383,16 @@ def compare_clauses(o: OrderingSpec, c1: Clause, c2: Clause,
                     memo: Optional[dict] = None) -> Comparison:
     """Multiset extension of the literal ordering; INCOMPARABLE propagates.
     `memo`, kept by a caller across calls under o, maps (x, y) to
-    `compare_literals(o, x, y)`."""
-    m1, m2 = Counter(c1.literals), Counter(c2.literals)
-    only1 = list((m1 - m2).elements())
-    only2 = list((m2 - m1).elements())
+    `compare_literals(o, x, y)`.  Clauses without a repeated literal are
+    compared as sets."""
+    s1, s2 = c1.distinct, c2.distinct
+    if s1 is not None and s2 is not None:
+        only1 = [x for x in c1.literals if x not in s2]
+        only2 = [y for y in c2.literals if y not in s1]
+    else:
+        m1, m2 = Counter(c1.literals), Counter(c2.literals)
+        only1 = list((m1 - m2).elements())
+        only2 = list((m2 - m1).elements())
     if not only1 and not only2:
         return Comparison.EQ
     memo = {} if memo is None else memo

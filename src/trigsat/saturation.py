@@ -10,9 +10,13 @@ non-ground part of a problem only.
 
 Checks that cannot succeed are skipped: subsumption by `Clause.signature`,
 premise pairs by `_partners`, and repeated literal comparisons by a memo
-per `saturate` call.  `saturate` checks its `Budget` once per given
-clause, and the deadline also per premise pair and inside subsumption,
-which is NP-complete.
+per `saturate` call.  Renaming apart, selection and the given-clause
+choice read facts each clause caches (`Clause.variables`,
+`position_vars`, `distinct`).  A conclusion is built in one pass: only
+the resolved atom is renamed apart, and `terms.canonical_clause` applies
+the mgu and the canonical renaming at once.  `saturate` checks its
+`Budget` once per given clause, and the deadline also per premise pair
+and inside subsumption, which is NP-complete.
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ from .selection import (CheckedSelection, ValidationResult, check_selection,
                         extend_selection)
 from .terms import (
     Clause,
-    canonicalize,
+    Substitution,
+    Var,
+    canonical_clause,
     match_literal,
-    rename_apart,
     unify,
-    vars_of,
 )
 
 
@@ -129,14 +133,24 @@ def resolve(c1: Clause, pos1: int, c2: Clause, pos2: int) -> Optional[Clause]:
         raise ValueError("resolution literal in the second premise must be negative")
     if lit1.atom.pred != lit2.atom.pred:
         return None
-    c2r = rename_apart(c2, vars_of(c1))
-    sigma = unify(lit1.atom, c2r.literals[pos2].atom)
+    # Each variable c2 shares with c1 gets a fresh name, primed as needed;
+    # only the resolved atom is renamed before unification.
+    rho: dict[Var, Var] = {}
+    shared = c2.variables & c1.variables
+    if shared:
+        used = set(c1.variables | c2.variables)
+        for v in shared:
+            fresh = Var(v.name + "'")
+            while fresh in used:
+                fresh = Var(fresh.name + "'")
+            used.add(fresh)
+            rho[v] = fresh
+    sigma = unify(lit1.atom, Substitution(rho).apply_atom(lit2.atom))
     if sigma is None:
         return None
-    rest = c1.without_position(pos1) + c2r.without_position(pos2)
-    conclusion = Clause(tuple(sigma.apply_literal(l) for l in rest),
-                        origin="resolvent")
-    return canonicalize(conclusion)
+    return canonical_clause(sigma, ((c1.without_position(pos1), {}),
+                                    (c2.without_position(pos2), rho)),
+                            "resolvent")
 
 
 def factor(c: Clause, pos: int) -> list[Clause]:
@@ -149,11 +163,9 @@ def factor(c: Clause, pos: int) -> list[Clause]:
         if j == pos or not other.positive:
             continue
         sigma = unify(lit.atom, other.atom)
-        if sigma is None:
-            continue
-        kept = c.without_position(j)
-        out.append(canonicalize(Clause(
-            tuple(sigma.apply_literal(l) for l in kept), origin="factor")))
+        if sigma is not None:
+            out.append(canonical_clause(sigma, ((c.without_position(j), {}),),
+                                        "factor"))
     return out
 
 

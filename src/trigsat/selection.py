@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .ordering import OrderingSpec, maximal_literals, maximum_literal
-from .terms import Clause, Var, vars_of
+from .terms import Clause, Var
 
 MAX_SELECTED = 8
 
@@ -67,8 +67,7 @@ def validate_selection(c: Clause, sel: Iterable[int],
         raise ValueError(
             f"selection of {len(positions)} literals exceeds the cap of "
             f"{MAX_SELECTED}")
-    cvars = vars_of(c)
-    pvars = {p: vars_of(c.literals[p]) for p in positions}
+    cvars, pvars = c.variables, c.position_vars
     for size in range(len(positions) + 1):
         for subset in itertools.combinations(positions, size):
             t = set(subset)
@@ -84,7 +83,7 @@ def validate_selection(c: Clause, sel: Iterable[int],
                 origin=c.origin)
             needed = maximal_literals(o, rest_clause)
             if not set(needed) <= set(rest_sel):
-                missing = cvars.difference(*pvars.values())
+                missing = cvars.difference(*(pvars[p] for p in positions))
                 if t == set(positions) and missing:
                     reason = ("selected literals do not cover the clause "
                               "variables: missing "
@@ -113,7 +112,7 @@ class CheckedSelection(dict):
 
 
 def _coverage_or_raise(c: Clause, positions: set[int], what: str) -> None:
-    missing = vars_of(c) - vars_of(c.literals[p] for p in positions)
+    missing = c.variables.difference(*(c.position_vars[p] for p in positions))
     if missing:
         raise SelectionError(
             c, f"{what} does not cover all clause variables", missing)

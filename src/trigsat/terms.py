@@ -12,9 +12,12 @@ symbols as a flat tuple on demand.
 
 Clauses are multisets of literals (duplicates are preserved); equality and
 hashing go through a canonical multiset key, the literals in identity
-order, while the stored literal order is kept for display.  Every walk over
-a term is a loop, so terms of any depth are safe; every operation here is
-a pure function.
+order, while the stored literal order is kept for display.  A clause
+computes on first use, and keeps, the facts saturation asks for again and
+again: its variables, in all and per literal position, its set of
+literals (or that none stands for it, when a literal repeats), and its
+subsumption features.  Every walk over a term is a loop, so terms of any
+depth are safe; every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -234,6 +237,38 @@ class Clause:
     _key: Optional[tuple] = field(default=None, init=False, repr=False)
     _features: Optional[tuple] = field(default=None, init=False, repr=False)
     _signature: Optional[tuple] = field(default=None, init=False, repr=False)
+    _pos_vars: Optional[tuple] = field(default=None, init=False, repr=False)
+    _vars: Optional[frozenset] = field(default=None, init=False, repr=False)
+    _distinct: Optional[frozenset] = field(default=None, init=False, repr=False)
+
+    @property
+    def position_vars(self) -> tuple[frozenset[Var], ...]:
+        # The variables of the literal at each position.
+        pv = self._pos_vars
+        if pv is None:
+            pv = tuple(_NO_VARS if l.atom.ground
+                       else frozenset(_term_tuple_vars(l.atom.args))
+                       for l in self.literals)
+            object.__setattr__(self, "_pos_vars", pv)
+        return pv
+
+    @property
+    def variables(self) -> frozenset[Var]:
+        vs = self._vars
+        if vs is None:
+            vs = _NO_VARS.union(*self.position_vars)
+            object.__setattr__(self, "_vars", vs)
+        return vs
+
+    @property
+    def distinct(self) -> Optional[frozenset[Literal]]:
+        # The set of the literals, or None when a literal repeats: the
+        # clause is then a multiset that no set stands for.
+        d = self._distinct
+        if d is None:
+            d = frozenset(self.literals)
+            object.__setattr__(self, "_distinct", d)
+        return d if len(d) == len(self.literals) else None
 
     @property
     def signature(self) -> tuple[int, dict[tuple[bool, str], list[int]]]:
@@ -307,6 +342,9 @@ class Clause:
         if not self.literals:
             return "⊥"
         return " | ".join(str(l) for l in self.literals)
+
+
+_NO_VARS: frozenset[Var] = frozenset()
 
 
 def _term_tuple_vars(args: tuple[Term, ...]) -> set[Var]:
@@ -437,6 +475,9 @@ class Substitution(Mapping[Var, Term]):
 
     def __len__(self) -> int:
         return len(self._map)
+
+    def get(self, v: Var, default=None):
+        return self._map.get(v, default)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}->{t}" for v, t in sorted(
@@ -663,38 +704,48 @@ def enumerate_ground_instances(c: Clause, sig: Signature, depth: int) -> list[Cl
 _CANONICAL_NAMES = ("X", "Y", "Z", "U", "V", "W")
 
 
+def _canonical_var(i: int) -> Var:
+    """The variable named i-th: X, Y, Z, U, V, W, then V1, V2, ..."""
+    n = len(_CANONICAL_NAMES)
+    return Var(_CANONICAL_NAMES[i] if i < n else f"V{i - n + 1}")
+
+
+def canonical_clause(sigma: Mapping[Var, Term],
+                     parts: Iterable[tuple[Sequence[Literal], Mapping]],
+                     origin: str) -> Clause:
+    """`canonicalize` of each part's literals under its renaming (a
+    variable it misses keeps its name) and then sigma, built in one pass:
+    the walk steps into each variable's image to meet the variables in
+    first-occurrence order.  An image's variables are final and are never
+    mapped again, for a renamed name can reappear in sigma's range
+    (X -> X' -> f(X))."""
+    names: dict[Var, Var] = {}  # variable of an image -> its canonical one
+    out: list[Literal] = []
+    for lits, rho in parts:
+        theta: dict[Var, Term] = {}  # variable of lits -> its final image
+        for lit in lits:
+            stack = [t for t in reversed(lit.atom.args) if not t.ground]
+            while stack:  # preorder, left to right
+                t = stack.pop()
+                if isinstance(t, App):
+                    stack.extend(a for a in reversed(t.args) if not a.ground)
+                elif t not in theta:
+                    r = rho.get(t, t)
+                    image = sigma.get(r, r)
+                    inner = [image]
+                    while inner:
+                        u = inner.pop()
+                        if isinstance(u, App):
+                            inner.extend(a for a in reversed(u.args)
+                                         if not a.ground)
+                        elif u not in names:
+                            names[u] = _canonical_var(len(names))
+                    theta[t] = _rewrite(image, names.get)
+        out.extend(Substitution(theta).apply_literal(l) for l in lits)
+    return Clause(tuple(out), origin)
+
+
 def canonicalize(c: Clause, origin: Optional[str] = None) -> Clause:
     """Rename variables to a fixed alphabet in first-occurrence order."""
-    order: list[Var] = []
-    seen: set[Var] = set()
-    for lit in c.literals:
-        stack = [t for t in reversed(lit.atom.args) if not t.ground]
-        while stack:  # preorder, left to right
-            t = stack.pop()
-            if isinstance(t, Var):
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-            else:
-                stack.extend(a for a in reversed(t.args) if not a.ground)
-    names = list(_CANONICAL_NAMES) + [f"V{i}" for i in range(1, len(order) + 1)]
-    ren = Substitution({v: Var(names[i]) for i, v in enumerate(order)})
-    return ren.apply_clause(c, origin=origin if origin is not None else c.origin)
-
-
-def rename_apart(c: Clause, taken: set[Var]) -> Clause:
-    """Rename c's variables away from `taken` (primes appended as needed)."""
-    mine = vars_of(c)
-    if not (mine & taken):
-        return c
-    used = set(taken) | mine
-    mapping: dict[Var, Term] = {}
-    for v in sorted(mine, key=lambda v: v.name):
-        if v not in taken:
-            continue
-        fresh = Var(v.name + "'")
-        while fresh in used:
-            fresh = Var(fresh.name + "'")
-        used.add(fresh)
-        mapping[v] = fresh
-    return Substitution(mapping).apply_clause(c)
+    return canonical_clause({}, ((c.literals, {}),),
+                            origin if origin is not None else c.origin)

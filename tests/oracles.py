@@ -30,7 +30,7 @@ from trigsat.pipeline import solve_problem
 from trigsat.saturation import (Violation, factor, is_tautology, resolve,
                                 subsumes)
 from trigsat.terms import (App, Atom, Clause, Literal, Substitution, Term,
-                           Var, match_literal, vars_of)
+                           Var, match_literal, unify, vars_of)
 
 
 # -- fixtures -------------------------------------------------------------
@@ -401,6 +401,76 @@ def ref_compare_clauses(o, weights: dict, c1: Clause,
     if all(any(greater(y, x) for y in only2) for x in only1):
         return Comparison.LT
     return Comparison.INCOMPARABLE
+
+
+# -- reference inference conclusions ------------------------------------
+#
+# Resolution and factoring as first written: the whole second premise
+# renamed apart, the mgu applied, and the conclusion renamed into the
+# canonical alphabet, each step a pass of its own.
+
+def _ref_rename_apart(c: Clause, taken: set[Var]) -> Clause:
+    """Rename c's variables away from `taken` (primes appended as needed)."""
+    mine = vars_of(c)
+    if not (mine & taken):
+        return c
+    used = set(taken) | mine
+    mapping: dict[Var, Term] = {}
+    for v in sorted(mine, key=lambda v: v.name):
+        if v not in taken:
+            continue
+        fresh = Var(v.name + "'")
+        while fresh in used:
+            fresh = Var(fresh.name + "'")
+        used.add(fresh)
+        mapping[v] = fresh
+    return Substitution(mapping).apply_clause(c)
+
+
+def _ref_canonicalize(c: Clause) -> Clause:
+    """Rename variables to X, Y, Z, U, V, W, V1, V2, ... in
+    first-occurrence order."""
+    order: list[Var] = []
+    for lit in c.literals:
+        stack = list(reversed(lit.atom.args))
+        while stack:  # preorder, left to right
+            t = stack.pop()
+            if isinstance(t, Var):
+                if t not in order:
+                    order.append(t)
+            else:
+                stack.extend(reversed(t.args))
+    names = ["X", "Y", "Z", "U", "V", "W"] + [
+        f"V{i}" for i in range(1, len(order) + 1)]
+    ren = Substitution({v: Var(names[i]) for i, v in enumerate(order)})
+    return ren.apply_clause(c)
+
+
+def ref_resolve(c1: Clause, pos1: int, c2: Clause,
+                pos2: int) -> Optional[Clause]:
+    """Reference for `trigsat.saturation.resolve` on a positive literal of
+    c1 and a negative literal of c2."""
+    c2r = _ref_rename_apart(c2, vars_of(c1))
+    sigma = unify(c1.literals[pos1].atom, c2r.literals[pos2].atom)
+    if sigma is None:
+        return None
+    rest = c1.without_position(pos1) + c2r.without_position(pos2)
+    return _ref_canonicalize(Clause(
+        tuple(sigma.apply_literal(l) for l in rest), origin="resolvent"))
+
+
+def ref_factor(c: Clause, pos: int) -> list[Clause]:
+    """Reference for `trigsat.saturation.factor` on a positive literal."""
+    out = []
+    for j, other in enumerate(c.literals):
+        if j == pos or not other.positive:
+            continue
+        sigma = unify(c.literals[pos].atom, other.atom)
+        if sigma is not None:
+            out.append(_ref_canonicalize(Clause(
+                tuple(sigma.apply_literal(l) for l in c.without_position(j)),
+                origin="factor")))
+    return out
 
 
 # -- reference decide choice and clause sort -----------------------------

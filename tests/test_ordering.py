@@ -38,6 +38,7 @@ from strategies import (
     ground_atoms,
     ground_literals,
     ground_substitutions,
+    literals,
     orderings,
     terms,
     weight_orderings,
@@ -192,6 +193,42 @@ class TestCompareClauses:
         one = clause([lit(Atom("p", (a, a)))])
         two = clause([lit(Atom("p", (a, a))), lit(Atom("p", (a, a)))])
         assert compare_clauses(WEIGHT, one, two) is Comparison.LT
+
+    def test_repeated_literal_is_not_compared_as_a_set(self):
+        px, qx = lit(Atom("p", (X,))), lit(Atom("q", (X,)))
+        three, two = clause([px, px, qx]), clause([px, qx])
+        assert compare_clauses(WEIGHT, three, two) is Comparison.GT
+        assert compare_clauses(WEIGHT, two, three) is Comparison.LT
+
+    @given(weight_orderings(), st.lists(literals(), min_size=1, max_size=4),
+           st.data())
+    def test_matches_reference_with_repeated_literals(self, o, pool, data):
+        # Clauses over a small pool, so that they share literals and repeat
+        # them; one memo for all pairs, as `_pick_given` keeps it.
+        draw = st.lists(st.sampled_from(pool), min_size=1, max_size=4)
+        cs = [clause(data.draw(draw)) for _ in range(3)]
+        cs.append(clause(pool[:1] + pool))
+        weights, memo = dict(o.weights), {}
+        for c1, c2 in itertools.product(cs, repeat=2):
+            assert (compare_clauses(o, c1, c2, memo)
+                    is ref_compare_clauses(o, weights, c1, c2))
+
+    @given(weight_orderings(), st.lists(literals(), min_size=1, max_size=3),
+           st.data())
+    def test_maximum_is_unique_and_greatest(self, o, pool, data):
+        c = clause(data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                      max_size=4)))
+        weights = dict(o.weights)
+
+        def greater(x, y):
+            cmp = ref_compare_atoms(o, weights, x.atom, y.atom)
+            if cmp is Comparison.EQ:
+                return not x.positive and y.positive
+            return cmp is Comparison.GT
+
+        want = [l for l in c.literals if c.literals.count(l) == 1
+                and all(greater(l, m) for m in c.literals if m is not l)]
+        assert maximum_literal(o, c) is (want[0] if want else None)
 
 
 class TestStability:

@@ -38,7 +38,9 @@ from oracles import (
     evaluate_clause,
     load_corpus,
     ref_check_saturated,
+    ref_factor,
     ref_pick_given,
+    ref_resolve,
     ref_subsumes,
     variant,
 )
@@ -138,6 +140,83 @@ class TestFactor:
         c = clause([lit(Atom("p", (X,)), False), lit(Atom("p", (Y,)))])
         with pytest.raises(ValueError, match="positive"):
             factor(c, 0)
+
+
+# X' is among the names, so renaming a shared X apart must prime it twice.
+SHARED_NAMES = ("X", "Y", "X'")
+
+
+@st.composite
+def instance_pairs(draw):
+    """(lits, i, atom): a few literals over `SHARED_NAMES` with nested terms,
+    the position i of one of them, and an instance of its atom under a
+    substitution of terms over the same names (X -> f(X), say), so that
+    the two atoms share names and repeat variables."""
+    lits = draw(st.lists(literals(3, SHARED_NAMES), min_size=1, max_size=3))
+    i = draw(st.integers(0, len(lits) - 1))
+    theta = Substitution(dict(zip(
+        (Var(v) for v in SHARED_NAMES),
+        draw(st.lists(terms(2, SHARED_NAMES), min_size=3, max_size=3)))))
+    return lits, i, theta.apply_atom(lits[i].atom)
+
+
+@st.composite
+def resolution_premises(draw):
+    """(c1, c2): a positive literal of c1 and a negative literal of c2,
+    one atom an instance of the other, among other literals over the same
+    names.  With the general atom in c2, the mgu maps c2's renamed
+    variables to c1's terms (X' -> f(X))."""
+    lits, i, atom = draw(instance_pairs())
+    general_in_c1 = draw(st.booleans())
+    lits[i] = Literal(lits[i].atom, general_in_c1)
+    rest = draw(st.lists(literals(3, SHARED_NAMES), max_size=2))
+    j = draw(st.integers(0, len(rest)))
+    other = clause(rest[:j] + [Literal(atom, not general_in_c1)] + rest[j:])
+    return (clause(lits), other) if general_in_c1 else (other, clause(lits))
+
+
+@st.composite
+def factoring_premises(draw):
+    """A clause holding a positive literal and an instance of it."""
+    lits, i, atom = draw(instance_pairs())
+    lits[i] = Literal(lits[i].atom, True)
+    return clause(draw(st.permutations(lits + [Literal(atom, True)])))
+
+
+class TestOnePassConclusions:
+    """`resolve` and `factor` build each conclusion in one pass; the
+    references rename the whole second premise, apply the mgu and
+    canonicalize, a pass each.  Both must give the same literals in the
+    same order, not only a variant."""
+
+    @given(resolution_premises())
+    def test_resolvents_match_reference(self, premises):
+        c1, c2 = premises
+        for p, l1 in enumerate(c1.literals):
+            for q, l2 in enumerate(c2.literals):
+                if l1.positive and not l2.positive:
+                    got, want = resolve(c1, p, c2, q), ref_resolve(c1, p, c2, q)
+                    assert (got is None) == (want is None)
+                    if got is not None:
+                        assert got.literals == want.literals
+                        assert got.origin == want.origin == "resolvent"
+
+    @given(factoring_premises())
+    def test_factors_match_reference(self, c):
+        for p, l in enumerate(c.literals):
+            if l.positive:
+                got, want = factor(c, p), ref_factor(c, p)
+                assert [f.literals for f in got] == [f.literals for f in want]
+                assert all(f.origin == "factor" for f in got)
+
+    def test_renamed_name_in_the_range_is_not_renamed_again(self):
+        # c2's X becomes X' and the mgu maps X' to f(X), c1's X: the q
+        # literal must read q(f(X)), not q(f(X')) or q(X).
+        c1 = clause([lit(Atom("p", (fn("f", X),)))])
+        c2 = clause([lit(Atom("p", (X,)), False), lit(Atom("r", (X, Y)))])
+        got = resolve(c1, 0, c2, 0)
+        assert got.literals == (lit(Atom("r", (fn("f", X), Y))),)
+        assert got.literals == ref_resolve(c1, 0, c2, 0).literals
 
 
 MUTATIONS = ("superset", "flip", "rename", "duplicate-in-c",

@@ -285,6 +285,18 @@ class TestClauseSemantics:
         if c1 == c2:
             assert hash(c1) == hash(c2)
 
+    @given(st.lists(literals(), min_size=1, max_size=4), st.data())
+    def test_cached_facts_match_a_fresh_walk(self, pool, data):
+        lits = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+        c = clause(lits)
+        assert c.variables == vars_of(c)
+        assert len(c.position_vars) == len(lits)
+        for l, vs in zip(lits, c.position_vars):
+            assert vs == vars_of(l)
+        assert c.distinct == (frozenset(lits) if len(set(lits)) == len(lits)
+                              else None)
+        assert c.variables is c.variables
+
     def test_duplicates_are_preserved(self):
         single = clause([lit(Atom("p", (a,)))])
         double = clause([lit(Atom("p", (a,))), lit(Atom("p", (a,)))])
