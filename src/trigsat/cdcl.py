@@ -400,9 +400,9 @@ class Solver:
         self._pending = _Pending()
         self.trail = Trail(self._cut, self._pending.count)
         self.lc: Optional[Clause] = None
-        # (lc, its `sort_clause` order) from `backjump_applicable`, which
+        # lc's `sort_clause` order from `backjump_applicable`, which
         # `backjump_step`, run next on the same trail, reads.
-        self._lc_order: Optional[tuple[Clause, tuple[Literal, ...]]] = None
+        self._lc_order: tuple[Literal, ...] = ()
         self.stats = RunStats()
         self.trace: list[str] = []
         self._tracing = trace
@@ -517,9 +517,8 @@ class Solver:
     def backjump_applicable(self) -> bool:
         if self.lc is None or self.lc.is_empty:
             return False
-        order = sort_clause(self.trail, self.lc)
-        self._lc_order = (self.lc, order)
-        head, *rest = order
+        self._lc_order = sort_clause(self.trail, self.lc)
+        head, *rest = self._lc_order
         if self.trail.value(head) is not False:
             return False
         entry = self.trail.entry_for(head)
@@ -540,9 +539,7 @@ class Solver:
     def backjump_step(self) -> None:
         """Resolve the conflict clause with the reason of its newest literal."""
         assert self.lc is not None and not self.lc.is_empty
-        held, self._lc_order = self._lc_order, None
-        head, *rest = (held[1] if held is not None and held[0] is self.lc
-                       else sort_clause(self.trail, self.lc))
+        head, *rest = self._lc_order
         flipped = head.complement()
         reason = self.trail.entry_for(head).reason
         assert reason is not None
