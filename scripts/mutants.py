@@ -62,13 +62,21 @@ RESOLVENTS = ("tests/test_saturation.py::TestOnePassConclusions"
               "::test_resolvents_match_reference")
 
 
-def _no_op(signature: str, test: str) -> Mutant:
-    """The `_Monitors` hook with this signature returns at once."""
-    hook = signature.split("(")[0]
-    return Mutant(f"monitor-{hook}-no-op", "src/trigsat/cdcl.py",
-                  f"    def {signature} -> None:\n",
-                  f"    def {signature} -> None:\n        return\n",
-                  (MONITORS + test,))
+def _silenced(monitor: str, test: str) -> Mutant:
+    """The `_Monitors` check named `monitor` notes nothing; the rule it
+    sits in still counts and writes its trace line."""
+    return Mutant(f"{monitor}-monitor-silenced", "src/trigsat/cdcl.py",
+                  f'self._note(f"{monitor} monitor:',
+                  f'str(f"{monitor} monitor:', (MONITORS + test,))
+
+
+def _keeps_step_count(rule: str, snippet: str) -> Mutant:
+    """`_Monitors.{rule}` does not reset the step count; `snippet` is the
+    reset with a neighbouring line, so that it occurs once."""
+    return Mutant(f"{rule}-keeps-the-step-count", "src/trigsat/cdcl.py",
+                  snippet, snippet.replace("        self._steps = 0\n", ""),
+                  (MONITORS
+                   + "test_step_count_resets_on_instantiate_and_learn",))
 
 
 MUTANTS = [
@@ -238,21 +246,29 @@ MUTANTS = [
         "    def backjump_applicable(self) -> bool:\n        return True\n",
         ("tests/test_cdcl.py::TestBackjumpLearn::"
          "test_backjump_resolves_with_reason",)),
-    _no_op("conflict(self, trail: Trail, c: Clause)", "test_conflict_level"),
+    _silenced("horn", "test_horn_conflict_above_level_zero"),
+    _silenced("conflict-level", "test_conflict_level"),
     Mutant(
         "conflict-level-monitor-compares-the-newest-level-with-itself",
         "src/trigsat/cdcl.py",
         "            if levels[0] != levels[1]:\n",
         "            if levels[0] != levels[0]:\n",
         (MONITORS + "test_conflict_level",)),
-    _no_op("propagate(self, trail: Trail, c: Clause, lit: Literal)",
-           "test_propagation_level"),
-    _no_op("step(self)", "test_step_count_resets_on_instantiate_and_learn"),
-    _no_op("backjump(self)", "test_backjump_count_resets_on_conflict"),
-    _no_op("learn(self, trail: Trail, c: Clause)",
-           "test_level_zero_learned_clause"),
-    _no_op("instantiate(self)",
-           "test_step_count_resets_on_instantiate_and_learn"),
+    _silenced("unit-conflict", "test_unit_conflict"),
+    _silenced("propagation-level", "test_propagation_level"),
+    _silenced("step-count",
+              "test_step_count_resets_on_instantiate_and_learn"),
+    _silenced("backjump-count", "test_backjump_count_resets_on_conflict"),
+    _silenced("level-zero", "test_level_zero_learned_clause"),
+    _silenced("2sat", "test_twosat_learned_clause_of_two_literals"),
+    _keeps_step_count("learn", """\
+        self._steps = 0
+        self._write("learn {} level={}", c, rewound_to)
+"""),
+    _keeps_step_count("instantiate", """\
+        self.stats.instantiations += 1
+        self._steps = 0
+"""),
     Mutant(
         "fragment-detection-off", "src/trigsat/cdcl.py",
         """\

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Replay the bundled worked examples and print their traces.
+"""Replay the bundled worked examples and print their traces, each line
+indented, as the runs make them.
 
 Usage: python3 scripts/run_worked_examples.py
 """
@@ -16,19 +17,24 @@ from trigsat.pipeline import ContractError, SolveOptions, solve_problem
 
 ROOT = Path(__file__).resolve().parent.parent
 
+
+def indented(line: str) -> None:
+    print(f"  {line}")
+
+
 RUNS = [
-    ("problems/ex1.p", SolveOptions(trace=True)),
-    ("problems/goodsel_trig1.p", SolveOptions(trace=True)),
-    ("problems/goodsel_trig2_unsat_trap.p", SolveOptions(trace=True)),
+    ("problems/ex1.p", SolveOptions(trace=indented)),
+    ("problems/goodsel_trig1.p", SolveOptions(trace=indented)),
+    ("problems/goodsel_trig2_unsat_trap.p", SolveOptions(trace=indented)),
     ("problems/goodsel_trig2_repair.p",
-     SolveOptions(trace=True, extend_select="max")),
+     SolveOptions(trace=indented, extend_select="max")),
     ("problems/countersel.p",
-     SolveOptions(trace=True, extend_select="auto",
+     SolveOptions(trace=indented, extend_select="auto",
                   ordering=OrderingSpec(kind="weight",
                                         precedence=("r", "q", "p"),
                                         precedence_dominant=True))),
     ("problems/allneg_divergent.p",
-     SolveOptions(trace=True, budget=Budget(max_instantiations=12))),
+     SolveOptions(trace=indented, budget=Budget(max_instantiations=12))),
 ]
 
 
@@ -42,8 +48,6 @@ def main() -> int:
             print(f"refused: {exc}")
             print()
             continue
-        for line in result.run.trace:
-            print(f"  {line}")
         print(f"verdict: {result.verdict_line}")
         if result.verdict_line == "sat":
             print("model:", ", ".join(str(l) for l in result.model) or "{}")

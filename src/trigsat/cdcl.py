@@ -30,6 +30,9 @@ witness several selected literals); the trail then rewinds exactly as for
 a learned clause.  Lazy mode instantiates only once every atom is
 assigned; eager mode tries after every propagation fixpoint.
 
+Each rule application, and the run's end, makes one `_Monitors` call: it
+counts the rule, checks the invariants and streams the trace line.
+
 Each cap of a `Budget`, and its deadline, raises `BudgetExceeded` where it
 is spent, inside the instantiation search too; `run` catches it once.
 """
@@ -167,7 +170,6 @@ class Verdict:
 class RunResult:
     verdict: Verdict
     stats: RunStats
-    trace: list[str] = field(default_factory=list)
     final_ground: list[Clause] = field(default_factory=list)
 
 
@@ -312,24 +314,40 @@ class _Pending:
 
 
 class _Monitors:
-    """The paper's invariants, checked at each rule event; each breach
-    appends one `... monitor: ...` message to `violations`.  The Horn claim
-    (no conflict above level 0) and the 2SAT claim (every learned clause a
-    unit) are on only when every clause given to the solver is in their
-    fragment; instances and learned clauses stay in it."""
+    """Each rule application's report: it counts the rule in `stats`, checks
+    the paper's invariants (a breach notes a `... monitor: ...` message in
+    `stats.monitor_violations`) and writes the rule's trace line to `sink`.
+    The Horn claim (no conflict above level 0) and the 2SAT claim (every
+    learned clause a unit) are on only when every clause given to the
+    solver is in their fragment; instances and learned clauses stay in it."""
 
-    def __init__(self, clauses: list[Clause], atoms: Sized,
-                 violations: list[str]) -> None:
+    def __init__(self, clauses: list[Clause], atoms: Sized, stats: RunStats,
+                 sink: Optional[Callable[[str], None]] = None) -> None:
         self.horn = all(sum(l.positive for l in c.literals) <= 1
                         for c in clauses)
         self.twosat = all(len(c) <= 2 for c in clauses)
         self.atoms = atoms  # G's atoms, shared with the solver
-        self._note = violations.append
+        self.stats = stats
+        self._note = stats.monitor_violations.append
+        self._sink = sink
         self._steps = 0  # Decide+Propagate steps since Instantiate/Learn
         self._backjumps = 0  # Backjump steps in the current conflict
 
+    def _write(self, fmt: str, *args: object) -> None:
+        if self._sink is not None:  # str() of a clause walks its terms
+            self._sink(fmt.format(*args))
+
+    def _step(self) -> None:
+        self._steps += 1
+        if self._steps > max(len(self.atoms), 1):
+            self._note(f"step-count monitor: {self._steps} decide/propagate "
+                       f"steps since the last instantiate/learn with "
+                       f"{len(self.atoms)} atoms")
+
     def conflict(self, trail: Trail, c: Clause) -> None:
         level = trail.level
+        self.stats.conflicts += 1
+        self.stats.conflicts_above_level0 += level > 0
         if self.horn and level > 0:
             self._note(f"horn monitor: conflict at level {level} on {c}")
         if len(c) >= 2:
@@ -341,45 +359,57 @@ class _Monitors:
             self._note(f"unit-conflict monitor: unit clause {c} conflicting "
                        f"at level {level}")
         self._backjumps = 0
+        self._write("conflict {} level={}", c, level)
 
     def propagate(self, trail: Trail, c: Clause, lit: Literal) -> None:
+        self.stats.propagates += 1  # lit is not pushed yet
         if len(c) >= 2:
             second = max(trail.level_of(l) for l in c.literals if l is not lit)
             if second != trail.level:
                 self._note(f"propagation-level monitor: {c} propagates {lit} "
                            f"at level {trail.level} but its second literal "
                            f"was falsified at level {second}")
+        self._step()
+        self._write("propagate {} level={} reason={}", lit, trail.level, c)
 
-    def step(self) -> None:
-        self._steps += 1
-        n = len(self.atoms)
-        if self._steps > max(n, 1):
-            self._note(f"step-count monitor: {self._steps} decide/propagate "
-                       f"steps since the last instantiate/learn with {n} "
-                       f"atoms")
+    def decide(self, atom: Atom, level: int) -> None:
+        self.stats.decides += 1
+        self._step()
+        self._write("decide ~{} level={}", atom, level)
 
-    def backjump(self) -> None:
+    def backjump(self, lc: Clause, level: int) -> None:
+        self.stats.backjumps += 1
         self._backjumps += 1
-        n = len(self.atoms)
-        if self._backjumps > n:
+        if self._backjumps > len(self.atoms):
             self._note(f"backjump-count monitor: {self._backjumps} resolution"
-                       f" steps in one conflict with {n} atoms")
+                       f" steps in one conflict with {len(self.atoms)} atoms")
+        self._write("backjump {} level={}", lc, level)
 
-    def learn(self, trail: Trail, c: Clause) -> None:
-        if trail.level == 0 and len(c) > 1:
+    def learn(self, c: Clause, learned_at: int, rewound_to: int) -> None:
+        self.stats.learns += 1
+        self.stats.learned_sizes.append(len(c))
+        if learned_at == 0 and len(c) > 1:
             self._note(f"level-zero monitor: learned clause {c} with "
                        f"{len(c)} literals at level 0")
         if self.twosat and len(c) >= 2:
             self._note(f"2sat monitor: learned clause {c} has {len(c)} "
                        f"literals")
         self._steps = 0
+        self._write("learn {} level={}", c, rewound_to)
 
-    def instantiate(self) -> None:
+    def instantiate(self, c: Clause, parent: Clause, level: int) -> None:
+        self.stats.instantiations += 1
         self._steps = 0
+        self._write("instantiate {} from {} level={}", c, parent, level)
+
+    def finish(self, line: str) -> None:
+        """The run's last line: succeed, fail or unknown (...)."""
+        self._write("{}", line)
 
 
 class Solver:
-    """One CDCL run; owns its state exclusively."""
+    """One CDCL run; owns its state exclusively.  `trace`, if given, is
+    called with each rule's trace line as the rule applies."""
 
     def __init__(self, ground: Iterable[Clause],
                  theory: list[Clause],
@@ -388,10 +418,9 @@ class Solver:
                  instantiate_mode: str = "lazy",
                  budget: Budget = Budget(),
                  deadline: Optional[float] = None,
-                 trace: bool = False) -> None:
+                 trace: Optional[Callable[[str], None]] = None) -> None:
         if instantiate_mode not in ("lazy", "eager"):
             raise ValueError(f"unknown instantiation mode: {instantiate_mode!r}")
-        self.ordering = ordering
         self.mode = instantiate_mode
         self.budget = budget
         self._deadline = (time.monotonic() + budget.timeout
@@ -404,8 +433,6 @@ class Solver:
         # `backjump_step`, run next on the same trail, reads.
         self._lc_order: tuple[Literal, ...] = ()
         self.stats = RunStats()
-        self.trace: list[str] = []
-        self._tracing = trace
         self.ground: list[Clause] = []
         self._ground_keys: set = set()
         # Each theory clause with its trigger patterns (the complements of
@@ -423,7 +450,7 @@ class Solver:
             self._add_ground(c)
         self.monitors = _Monitors([*self.ground, *theory],
                                   self._pending.occurs,  # G's atoms
-                                  self.stats.monitor_violations)
+                                  self.stats, trace)
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -451,11 +478,6 @@ class Solver:
         for e in cut:
             self._pending.count(e, -1)
 
-    def _emit(self, fmt: str, *args: object) -> None:
-        # Formatted only when tracing: str() of a clause walks its terms.
-        if self._tracing:
-            self.trace.append(fmt.format(*args))
-
     def _rewind(self, c: Clause) -> None:
         """Undo the trail for a clause just added to G: all of it for a unit,
         else back to c's second literal if all but its newest are false."""
@@ -480,19 +502,11 @@ class Solver:
         c = self.ground[i]
         if not free:
             self.lc = c
-            self.stats.conflicts += 1
-            if self.trail.level > 0:
-                self.stats.conflicts_above_level0 += 1
             self.monitors.conflict(self.trail, c)
-            self._emit("conflict {} level={}", c, self.trail.level)
             return True
         lit = next(l for l in c.literals if self.trail.value(l) is None)
-        level = self.trail.level
         self.monitors.propagate(self.trail, c, lit)
-        self.trail.push(lit, level, c)
-        self.stats.propagates += 1
-        self.monitors.step()
-        self._emit("propagate {} level={} reason={}", lit, level, c)
+        self.trail.push(lit, self.trail.level, c)
         return True
 
     def decide(self) -> bool:
@@ -507,11 +521,8 @@ class Solver:
         best = self._heap.least(self.trail)  # stays queued until popped
         if best is None:
             return False
-        level = self.trail.level + 1
-        self.trail.push(Literal(best, False), level, None)
-        self.stats.decides += 1
-        self.monitors.step()
-        self._emit("decide ~{} level={}", best, level)
+        self.trail.push(Literal(best, False), self.trail.level + 1, None)
+        self.monitors.decide(best, self.trail.level)
         return True
 
     def backjump_applicable(self) -> bool:
@@ -545,21 +556,17 @@ class Solver:
         assert reason is not None
         merged = [l for l in reason.literals if l != flipped] + rest
         self.lc = Clause(tuple(dict.fromkeys(merged)), origin="learned")
-        self.stats.backjumps += 1
-        self.monitors.backjump()
-        self._emit("backjump {} level={}", self.lc, self.trail.level)
+        self.monitors.backjump(self.lc, self.trail.level)
 
     def learn(self) -> None:
         """Add the conflict clause to G and rewind the trail."""
         c = self.lc
         assert c is not None and not c.is_empty
-        self.monitors.learn(self.trail, c)
+        learned_at = self.trail.level
         self._add_ground(c)
-        self.stats.learns += 1
-        self.stats.learned_sizes.append(len(c))
         self._rewind(c)
         self.lc = None
-        self._emit("learn {} level={}", c, self.trail.level)
+        self.monitors.learn(c, learned_at, self.trail.level)
 
     def instantiate_step(self) -> str:
         """Add one new ground instance whose selected literals all have
@@ -577,10 +584,7 @@ class Solver:
             raise BudgetExceeded("instantiation budget exceeded")
         parent, theta, instance = found
         added = self._add_ground(instance)  # duplicate-literal-merged form
-        self.stats.instantiations += 1
-        self.monitors.instantiate()
-        self._emit("instantiate {} from {} level={}", instance, parent,
-                   self.trail.level)
+        self.monitors.instantiate(instance, parent, self.trail.level)
         self._rewind(added)
         return "added"
 
@@ -660,8 +664,8 @@ class Solver:
 
         def finish(verdict: Verdict, line: str) -> RunResult:
             self.stats.wall_time = time.monotonic() - started
-            self._emit("{}", line)
-            return RunResult(verdict, self.stats, self.trace, self.ground)
+            self.monitors.finish(line)
+            return RunResult(verdict, self.stats, self.ground)
 
         try:
             while True:

@@ -119,7 +119,7 @@ def build_parser() -> _Parser:
     solve.add_argument("--allow-unsaturated", action="store_true")
     solve.add_argument("--trace", action="store_true",
                        help="print one line per rule application to stderr "
-                            "once the run ends")
+                            "as each rule applies; warnings follow the trace")
     solve.add_argument("--emit-model", default=None, metavar="FILE",
                        help="write the model ('-' for stdout)")
 
@@ -166,7 +166,8 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
         instantiate=getattr(args, "instantiate", "lazy"),
         allow_unsaturated=getattr(args, "allow_unsaturated", False),
         budget=budget,
-        trace=getattr(args, "trace", False),
+        trace=((lambda line: print(line, file=sys.stderr))
+               if getattr(args, "trace", False) else None),
     )
 
 
@@ -186,9 +187,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         result = solve_problem(problem, options)
         for warning in result.warnings:
             print(f"warning: {warning}", file=sys.stderr)
-        if result.run is not None and options.trace:
-            for line in result.run.trace:
-                print(line, file=sys.stderr)
         print(result.verdict_line)
         if result.verdict_line == "unknown" and result.run is not None:
             print(f"reason: {result.run.verdict.reason}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .cdcl import Budget, RunResult, Solver
 from .models import (
@@ -55,7 +55,7 @@ class SolveOptions:
     instantiate: str = "lazy"
     allow_unsaturated: bool = False
     budget: Budget = Budget()
-    trace: bool = False
+    trace: Optional[Callable[[str], None]] = None  # gets each trace line
 
     def resolved_extend(self) -> str:
         if self.extend_select is not None:

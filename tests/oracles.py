@@ -15,10 +15,11 @@ import heapq
 import itertools
 import math
 import time
+from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import Callable, Iterable, Optional, Sized
 
-from trigsat.cdcl import (Budget, BudgetExceeded, RunResult, RunStats,
+from trigsat.cdcl import (Budget, BudgetExceeded, RunStats,
                           TrailEntry, Verdict, _candidate_key, _slim,
                           sort_clause)
 from trigsat.corpus import CORPORA
@@ -666,6 +667,15 @@ def solve_timed(problem, options):
 
 
 # -- the CDCL engine as it was before the one-pass Conflict/Propagate ------
+
+@dataclass
+class RunResult:
+    """`trigsat.cdcl.RunResult` from when it still held the trace lines."""
+    verdict: Verdict
+    stats: RunStats
+    trace: list[str] = field(default_factory=list)
+    final_ground: list[Clause] = field(default_factory=list)
+
 
 class RefTrail:
     """`trigsat.cdcl.Trail` with its index keyed by literal.  Assignment

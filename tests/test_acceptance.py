@@ -91,9 +91,10 @@ def test_criterion_01_successor_theory():
 @criterion(2, "chain-trigger replay: two recorded instantiations, model")
 def test_criterion_02_goodsel_replay():
     problem = parse_problem(GOODSEL_TRIG1 + "~p(f(a), f(b))\n")
-    result = solve_problem(problem, SolveOptions(trace=True))
+    trace = []
+    result = solve_problem(problem, SolveOptions(trace=trace.append))
     assert result.verdict_line == "sat"
-    inst = [l for l in result.run.trace if l.startswith("instantiate")]
+    inst = [l for l in trace if l.startswith("instantiate")]
     assert len(inst) == 2
     assert inst[0].startswith("instantiate ~q(f(a), b) | p(f(a), f(b))")
     assert inst[1].startswith("instantiate ~p(a, b) | q(f(a), b)")

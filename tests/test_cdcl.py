@@ -8,12 +8,13 @@ import time
 import weakref
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trigsat.cdcl
-from trigsat.cdcl import (Budget, Solver, Trail, Verdict, _Monitors,
-                          sort_clause)
+from trigsat.cdcl import (Budget, RunStats, Solver, Trail, Verdict,
+                          _Monitors, sort_clause)
 from trigsat.corpus import corpus_ordering, schur_problem
 from trigsat.models import ProductionRecord, produce_model
 from trigsat.ordering import Comparison, OrderingSpec, compare_atoms
@@ -163,16 +164,17 @@ class TestDecide:
 
 
 class TestMonitorsFire:
-    """Each monitor hook, driven with a hand-built trail, reports its exact
-    message; the Horn and 2SAT monitors only when their fragment is on."""
+    """Each rule's report, driven with a hand-built trail, notes each
+    breached monitor's exact message; the Horn and 2SAT monitors only when
+    their fragment is on."""
 
     P, Q, R = (Atom(name, (a,)) for name in "pqr")
     PQ = Clause((Literal(P, True), Literal(Q, True)))  # 2SAT, not Horn
     HORN3 = Clause((Literal(P, False), Literal(Q, False), Literal(R, True)))
 
     def monitors(self, clauses, atoms=()):
-        violations = []
-        return _Monitors(clauses, list(atoms), violations), violations
+        stats = RunStats()
+        return _Monitors(clauses, list(atoms), stats), stats.monitor_violations
 
     def trail(self, *levels):
         """~p(a), ~q(a), ~r(a) decided at the given levels, in order."""
@@ -205,7 +207,7 @@ class TestMonitorsFire:
         m, violations = self.monitors([self.PQ])
         t = self.trail(1)
         t.push(Literal(self.R, False), 2, None)
-        m.propagate(t, self.PQ, Literal(self.Q, True))
+        m.propagate(t, self.PQ, Literal(self.Q, True))  # before the push
         assert violations == ["propagation-level monitor: p(a) | q(a) "
                               "propagates q(a) at level 2 but its second "
                               "literal was falsified at level 1"]
@@ -213,12 +215,12 @@ class TestMonitorsFire:
     def test_step_count_resets_on_instantiate_and_learn(self):
         m, violations = self.monitors([self.PQ], [self.P, self.Q])
         unit = Clause((Literal(self.P, True),))
-        for reset in (m.instantiate, lambda: m.learn(Trail(), unit),
-                      lambda: None):
-            m.step()
-            m.step()
+        for reset in (lambda: m.instantiate(unit, unit, 0),
+                      lambda: m.learn(unit, 0, 0), lambda: None):
+            m.decide(self.P, 1)
+            m.propagate(Trail(), unit, unit.literals[0])
             reset()
-        m.step()
+        m.decide(self.P, 1)
         assert violations == ["step-count monitor: 3 decide/propagate steps "
                               "since the last instantiate/learn with 2 atoms"]
 
@@ -227,14 +229,14 @@ class TestMonitorsFire:
         unit = Clause((Literal(self.P, True),))
         for _ in range(2):
             m.conflict(Trail(), unit)
-            m.backjump()
-        m.backjump()
+            m.backjump(unit, 0)
+        m.backjump(unit, 0)
         assert violations == ["backjump-count monitor: 2 resolution steps "
                               "in one conflict with 1 atoms"]
 
     def test_level_zero_learned_clause(self):
         m, violations = self.monitors([self.HORN3])
-        m.learn(Trail(), self.PQ)
+        m.learn(self.PQ, 0, 0)
         assert violations == ["level-zero monitor: learned clause p(a) | q(a) "
                               "with 2 literals at level 0"]
 
@@ -243,8 +245,32 @@ class TestMonitorsFire:
                                         "p(a) | q(a) has 2 literals"]),
                                   ([self.HORN3], [])):
             m, violations = self.monitors(clauses)
-            m.learn(self.trail(1, 1, 1), self.PQ)
+            m.learn(self.PQ, 1, 0)
             assert violations == expected
+
+    def test_each_report_counts_its_rule_and_writes_its_line(self):
+        stats, lines = RunStats(), []
+        m = _Monitors([self.PQ], [self.P, self.Q], stats, lines.append)
+        t, p, q = self.trail(1), Literal(self.P, True), Literal(self.Q, True)
+        m.conflict(t, self.PQ)
+        m.backjump(self.PQ, 1)
+        m.learn(self.PQ, 1, 0)
+        m.propagate(Trail(), self.PQ, q)
+        m.decide(self.R, 1)
+        m.instantiate(Clause((p,)), self.PQ, 1)
+        m.finish("succeed")
+        assert lines == ["conflict p(a) | q(a) level=1",
+                         "backjump p(a) | q(a) level=1",
+                         "learn p(a) | q(a) level=0",
+                         "propagate q(a) level=0 reason=p(a) | q(a)",
+                         "decide ~r(a) level=1",
+                         "instantiate p(a) from p(a) | q(a) level=1",
+                         "succeed"]
+        counts = dataclasses.asdict(stats)
+        del counts["wall_time"], counts["monitor_violations"]
+        assert counts == dict(decides=1, propagates=1, conflicts=1,
+                              backjumps=1, learns=1, instantiations=1,
+                              conflicts_above_level0=1, learned_sizes=[2])
 
     def test_fragment_of_the_input_switches_horn_and_twosat(self):
         # A Horn and 2SAT ground part with a theory clause of 3 literals.
@@ -643,9 +669,10 @@ class TestWorkedRuns:
         text = ("~p(X1, Y1) | *q(f(X1), Y1)\n"
                 "~q(X2, Y2) | *p(X2, f(Y2))\n"
                 "~p(f(a), f(b))\n")
-        result = self.run_text(text, trace=True)
+        lines = []
+        result = self.run_text(text, trace=lines.append)
         assert result.verdict_line == "sat"
-        inst_lines = [l for l in result.run.trace
+        inst_lines = [l for l in lines
                       if l.startswith("instantiate")]
         assert len(inst_lines) == 2
         assert "~q(f(a), b) | p(f(a), f(b))" in inst_lines[0]
@@ -719,11 +746,25 @@ class TestWorkedRuns:
         assert "instantiation budget" in result.run.verdict.reason
 
     def test_past_deadline_answers_unknown(self):
-        s = solver_for([clause([prop("a")])], trace=True,
+        lines = []
+        s = solver_for([clause([prop("a")])], trace=lines.append,
                        deadline=time.monotonic() - 1)
         result = s.run()
         assert result.verdict == Verdict("unknown", (), "timeout exceeded")
-        assert result.trace == ["unknown (timeout exceeded)"]
+        assert lines == ["unknown (timeout exceeded)"]
+
+    def test_trace_lines_stream_before_the_run_returns(self):
+        class Sentinel(Exception):
+            pass
+
+        def sink(line):
+            raise Sentinel(line)
+
+        s = solver_for([clause([prop("a")])], trace=sink)
+        with pytest.raises(Sentinel, match=r"^propagate a level=0 reason=a$"):
+            s.run()
+        result = solver_for([clause([prop("a")])]).run()
+        assert "trace" not in {f.name for f in dataclasses.fields(result)}
 
     def test_eager_mode_reaches_the_same_verdicts(self):
         chain = ("~p(X1, Y1) | *q(f(X1), Y1)\n"
@@ -741,9 +782,10 @@ class TestWorkedRuns:
                 "~q(X2, Y2) | *p(X2, f(Y2))\n"
                 "~p(f(a), f(b))\n"
                 "r(c) | r(d)\n")
-        result = self.run_text(text, instantiate="eager", trace=True)
+        trace = []
+        result = self.run_text(text, instantiate="eager",
+                               trace=trace.append)
         assert result.verdict_line == "sat"
-        trace = result.run.trace
         first_decide = next(i for i, l in enumerate(trace)
                             if l.startswith("decide"))
         first_inst = next(i for i, l in enumerate(trace)
@@ -757,7 +799,7 @@ class TestWorkedRuns:
                 "*~q(X2, Y2) | p(X2, f(Y2))\n"
                 "~p(f(a), f(b))\n"
                 "p(a, b)\n")
-        result = self.run_text(text, extend_select="max", trace=True)
+        result = self.run_text(text, extend_select="max")
         assert result.verdict_line == "unsat"
 
 
@@ -856,16 +898,14 @@ def whole_run_inputs(draw):
     deadline = draw(st.sampled_from((None, None, None, 0.0)))  # 0.0: past
     return dict(ground=ground, theory=theory, selection=selection,
                 ordering=o, instantiate_mode=draw(st.sampled_from(
-                    ("lazy", "eager"))), budget=budget, deadline=deadline,
-                trace=True)
+                    ("lazy", "eager"))), budget=budget, deadline=deadline)
 
 
-def _run_record(solver):
+def _run_record(r, trace):
     """What a run must reproduce: everything but the wall time."""
-    r = solver.run()
     stats = dataclasses.asdict(r.stats)
     del stats["wall_time"]
-    return (r.verdict, stats, r.trace,
+    return (r.verdict, stats, trace,
             [(c.literals, c.origin) for c in r.final_ground])
 
 
@@ -891,10 +931,12 @@ class TestWholeRunsAgainstReference:
                   selection=_LEARNED_CONFLICT.selection,
                   ordering=OrderingSpec(kind="weight", precedence=("a",),
                                         weights={"b": 3, "f": 2},
-                                        precedence_dominant=True),
-                  trace=True))
+                                        precedence_dominant=True)))
     def test_same_run_as_reference(self, kw):
-        assert _run_record(Solver(**kw)) == _run_record(RefSolver(**kw))
+        lines = []
+        run = Solver(**kw, trace=lines.append).run()
+        ref = RefSolver(**kw, trace=True).run()
+        assert _run_record(run, lines) == _run_record(ref, ref.trace)
 
 
 class TestComplementSlot:

@@ -1,5 +1,6 @@
 """CLI contract: verdict lines, exit codes, determinism of traces."""
 
+import os
 import subprocess
 import sys
 import time
@@ -16,10 +17,13 @@ PROBLEMS = ROOT / "problems"
 CORPORA = ROOT / "corpora"
 
 
-def run_cli(args):
+def run_cli(args, env=None):
+    """The CLI run in a fresh process, with `env` added to the
+    environment."""
     return subprocess.run(
         [sys.executable, "-m", "trigsat", *args],
-        capture_output=True, text=True, cwd=ROOT, timeout=120)
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+        env=None if env is None else {**os.environ, **env})
 
 
 class TestSolveCommand:
@@ -267,11 +271,16 @@ class TestEmitModelFile:
         assert model.read_text() == ""
 
 
+def run_under_two_hash_seeds(args):
+    """The CLI run twice, under PYTHONHASHSEED=0 and then 1: output that
+    follows the iteration order of a set of str can differ between them."""
+    return [run_cli(args, {"PYTHONHASHSEED": seed}) for seed in "01"]
+
+
 class TestDeterminism:
     def test_traces_are_byte_identical_across_processes(self):
         args = ["solve", "problems/goodsel_trig1.p", "--trace"]
-        first = run_cli(args)
-        second = run_cli(args)
+        first, second = run_under_two_hash_seeds(args)
         assert first.stdout == second.stdout
         assert first.stderr == second.stderr
         assert first.stderr  # the trace went to stderr
@@ -282,8 +291,7 @@ class TestDeterminism:
         args = ["solve", "problems/countersel.p", "--precedence", "r>q>p",
                 "--precedence-dominant", "--extend-select", "auto",
                 "--trace"]
-        first = run_cli(args)
-        second = run_cli(args)
+        first, second = run_under_two_hash_seeds(args)
         assert first.stdout.splitlines()[0] == "unsat"
         assert first.stdout == second.stdout
         assert first.stderr == second.stderr
@@ -299,11 +307,16 @@ class TestInProcessEntry:
         def step(monitors):
             monitors._note("step-count monitor: forced")
 
-        monkeypatch.setattr(trigsat.cdcl._Monitors, "step", step)
+        monkeypatch.setattr(trigsat.cdcl._Monitors, "_step", step)
         assert main(["solve", str(PROBLEMS / "ex1.p")]) == 0
         out, err = capsys.readouterr()
         assert out.splitlines()[0] == "sat"
         assert err.splitlines() == ["warning: step-count monitor: forced"]
+        # The trace streams during the run; the warnings come after it.
+        assert main(["solve", str(PROBLEMS / "ex1.p"), "--trace"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "propagate g(a, b) level=0 reason=g(a, b)", "succeed",
+            "warning: step-count monitor: forced"]
 
 
 WIDE = ("*~p(X1) | *~p(X2) | *~p(X3) | *~p(X4) | *~p(X5) "

@@ -11,6 +11,7 @@ Regenerate the golden file (only for a deliberate behaviour change):
     python3 tests/test_solver_golden.py
 """
 
+import dataclasses
 import json
 import sys
 from functools import lru_cache
@@ -61,7 +62,7 @@ def matrix():
                     options = SolveOptions(
                         ordering=OrderingSpec(kind=order), select=select,
                         extend_select=extend, instantiate=mode,
-                        budget=BUDGET, trace=True)
+                        budget=BUDGET)
                     run_id = (f"{path.name} {mode} {order} select={select} "
                               f"extend={extend}")
                     yield run_id, (lambda p=path: parse_problem(
@@ -69,22 +70,22 @@ def matrix():
     for n in (4, 5, 6):
         for mode in MODES:
             options = SolveOptions(ordering=corpus_ordering("settheory"),
-                                   instantiate=mode, budget=BUDGET,
-                                   trace=True)
+                                   instantiate=mode, budget=BUDGET)
             yield f"schur n={n} {mode}", (lambda n=n: schur_problem(n)), \
                 options
     for k in (10, 30, 60):
         for closed in (False, True):
             for mode in MODES:
                 options = SolveOptions(ordering=OrderingSpec(kind="subterm"),
-                                       instantiate=mode, budget=BUDGET,
-                                       trace=True)
+                                       instantiate=mode, budget=BUDGET)
                 run_id = f"chain k={k} closed={closed} {mode}"
                 yield run_id, (lambda k=k, c=closed: chain_problem(k, c)), \
                     options
 
 
 def record(problem_factory, options) -> dict:
+    trace = []
+    options = dataclasses.replace(options, trace=trace.append)
     try:
         result = solve_problem(problem_factory(), options)
     except ContractError as exc:
@@ -103,7 +104,7 @@ def record(problem_factory, options) -> dict:
         "learned_sizes": list(stats.learned_sizes),
         "monitor_violations": list(stats.monitor_violations),
         "final_ground": [str(c) for c in run.final_ground],
-        "trace": list(run.trace),
+        "trace": trace,
     })
     return out
 
