@@ -230,6 +230,24 @@ MUTANTS = [
         ("tests/test_ordering.py::TestCompareClauses"
          "::test_matches_reference_with_repeated_literals",)),
     Mutant(
+        "invalid-selection-saturated-anyway", "src/trigsat/saturation.py",
+        """\
+        if not result:
+            raise InvalidSelectionError(
+""",
+        """\
+        if False:
+            raise InvalidSelectionError(
+""",
+        ("tests/test_saturation.py::TestSaturate"
+         "::test_invalid_selection_rejected_before_inference",)),
+    Mutant(
+        "auto-cascade-skips-maximal", "src/trigsat/selection.py",
+        """        for cascaded in ("max", "maximal", "neg"):\n""",
+        """        for cascaded in ("max", "neg"):\n""",
+        ("tests/test_selection.py::TestExtendSelection"
+         "::test_auto_takes_maximal_without_a_maximum",)),
+    Mutant(
         "resolve-does-not-rename-apart", "src/trigsat/saturation.py",
         "    shared = c2.variables & c1.variables\n",
         "    shared = frozenset()\n",

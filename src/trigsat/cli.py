@@ -34,6 +34,7 @@ from .pipeline import (
     verify_model,
 )
 from .saturation import SaturationOutcome
+from .selection import SelectionError, ValidationResult, validate_selection
 
 
 class UsageError(Exception):
@@ -213,7 +214,11 @@ def _cmd_check_selection(args: argparse.Namespace) -> int:
     options = _options_from(args)
     bad = 0
     for c in problem.theory:
-        result = clause_selection(problem, options, c)[1]
+        try:
+            result = validate_selection(
+                c, clause_selection(problem, options, c), options.ordering)
+        except SelectionError as exc:
+            result = ValidationResult(False, None, str(exc))
         if result:
             print(f"valid: {format_clause(c)}")
         else:

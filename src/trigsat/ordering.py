@@ -37,7 +37,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from .terms import (
@@ -348,13 +348,13 @@ def clause_order_key(o: OrderingSpec, c: Clause) -> tuple:
                         reverse=True))
 
 
-def maximal_literals(o: OrderingSpec, c: Clause) -> list[Literal]:
-    """Distinct literal values with no strictly greater clause-mate."""
-    if c.is_empty:
+def maximal_literals(o: OrderingSpec,
+                     literals: Sequence[Literal]) -> list[Literal]:
+    """Distinct literal values of a clause's literals with no strictly
+    greater clause-mate."""
+    if not literals:
         raise ValueError("empty clause has no maximal literals")
-    values: dict[Literal, None] = {}
-    for lit in c.literals:
-        values.setdefault(lit)
+    values = dict.fromkeys(literals)
     out = []
     for lit in values:
         if not any(compare_literals(o, other, lit) is Comparison.GT

@@ -2,11 +2,14 @@
 
 A `sat` answer is only certified when the non-ground clauses are saturated
 under a valid selection, so `solve_problem` saturates first and refuses to
-continue otherwise unless explicitly allowed.  Saturating an annotated
-problem may derive new clauses; how those get a selection is controlled by
-`extend_select` (`error` refuses, which keeps annotated trigger choices
-honest).  `verify_model` goes through the same preparation, so the
-candidate model it builds comes from the theory the certificate is about.
+continue otherwise unless explicitly allowed.  `build_selection` picks each
+clause's selection and saturation validates it; `prepare_theory` and
+`check_problem_saturated` refuse an invalid one as a ContractError.
+Saturating an annotated problem may derive new clauses; how those get a
+selection is controlled by `extend_select` (`error` refuses, which keeps
+annotated trigger choices honest).  `verify_model` goes through the same
+preparation, so the candidate model it builds comes from the theory the
+certificate is about.
 """
 
 from __future__ import annotations
@@ -27,18 +30,13 @@ from .models import (
 from .ordering import OrderingSpec
 from .parser import Problem
 from .saturation import (
+    InvalidSelectionError,
     SaturationOutcome,
     SaturationReport,
     check_saturated,
     saturate,
 )
-from .selection import (
-    CheckedSelection,
-    SelectionError,
-    ValidationResult,
-    auto_select,
-    check_selection,
-)
+from .selection import SelectionError, auto_select
 from .terms import Clause, Literal
 
 
@@ -77,34 +75,29 @@ class SolveResult:
         return self.run.verdict.model if self.run else ()
 
 
-def clause_selection(problem: Problem, options: SolveOptions, c: Clause
-                     ) -> tuple[frozenset[int], ValidationResult]:
-    """Pick c's selection (its annotation or the --select strategy) and
-    validate it; every failure comes back as an invalid result."""
-    o = options.ordering
+def clause_selection(problem: Problem, options: SolveOptions,
+                     c: Clause) -> frozenset[int]:
+    """c's selection, picked by the `select` strategy or taken from its
+    annotation; raises SelectionError when neither gives one."""
     if options.select != "annotated":
-        try:
-            sel = auto_select(c, o, options.select)
-        except SelectionError as exc:
-            return frozenset(), ValidationResult(False, None, str(exc))
-    elif c.cid in problem.selection:
-        sel = problem.selection[c.cid]
-    else:
-        return frozenset(), ValidationResult(
-            False, None, "clause has no selection annotation (use --select "
-                         "to pick an automatic strategy)")
-    return sel, check_selection(c, sel, o)
+        return auto_select(c, options.ordering, options.select)
+    if c.cid not in problem.selection:
+        raise SelectionError(
+            c, "clause has no selection annotation (use --select to pick "
+               "an automatic strategy)", named=False)
+    return problem.selection[c.cid]
 
 
 def build_selection(problem: Problem,
-                    options: SolveOptions) -> CheckedSelection:
-    """Selection for every theory clause, validated under the ordering."""
-    out = CheckedSelection()
+                    options: SolveOptions) -> dict[int, frozenset[int]]:
+    """The picked selection of every theory clause, by clause id."""
+    out = {}
     for c in problem.theory:
-        out[c.cid], result = clause_selection(problem, options, c)
-        if not result:
+        try:
+            out[c.cid] = clause_selection(problem, options, c)
+        except SelectionError as exc:
             raise ContractError(
-                f"selection not valid for clause '{c}': {result.describe()}")
+                f"selection not valid for clause '{c}': {exc}") from exc
     return out
 
 
@@ -121,6 +114,8 @@ def prepare_theory(problem: Problem, options: SolveOptions,
                           budget=options.budget,
                           extend=options.resolved_extend(),
                           deadline=deadline)
+    except InvalidSelectionError as exc:
+        raise ContractError(str(exc)) from exc
     except SelectionError as exc:
         raise ContractError(
             f"theory not saturated: saturation derived a clause the "
@@ -205,4 +200,7 @@ def verify_model(problem: Problem, model_literals: list[Literal],
 def check_problem_saturated(problem: Problem,
                             options: SolveOptions) -> SaturationReport:
     selection = build_selection(problem, options)
-    return check_saturated(problem.theory, selection, options.ordering)
+    try:
+        return check_saturated(problem.theory, selection, options.ordering)
+    except InvalidSelectionError as exc:
+        raise ContractError(str(exc)) from exc

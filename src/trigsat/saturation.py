@@ -6,7 +6,9 @@ merges a selected positive literal with a unifiable positive clause-mate.
 A clause set is saturated when every inference conclusion is a tautology
 or subsumed.  Subsumption uses multiset inclusion: C subsumes D iff some
 substitution maps C onto a sub-multiset of D.  Both entry points take the
-non-ground part of a problem only.
+non-ground part of a problem only, and are where the selection they are
+given is validated, once per clause; derived clauses get theirs from
+`selection.auto_select`, whose picks meet the condition by construction.
 
 Checks that cannot succeed are skipped: subsumption by `Clause.signature`,
 premise pairs by `_partners`, and repeated literal comparisons by a memo
@@ -30,8 +32,7 @@ from typing import Iterable, Optional
 
 from .cdcl import Budget, BudgetExceeded
 from .ordering import Comparison, OrderingSpec, compare_clauses
-from .selection import (CheckedSelection, ValidationResult, check_selection,
-                        extend_selection)
+from .selection import auto_select, validate_selection
 from .terms import (
     Clause,
     Substitution,
@@ -66,7 +67,7 @@ class SaturationReport:
 
 
 class InvalidSelectionError(Exception):
-    """An input clause has no valid selection."""
+    """An input clause has no selection, or an invalid one."""
 
 
 def is_tautology(c: Clause) -> bool:
@@ -187,20 +188,16 @@ def _partners(sides: dict[int, tuple], first: Clause, second: Clause) -> bool:
 def _validate_all(clauses: Iterable[Clause],
                   selection: dict[int, frozenset[int]], o: OrderingSpec
                   ) -> dict[int, tuple]:
-    """Raise on a clause without a valid selection; otherwise return each
-    clause's selected positions by polarity, as `inferences` takes them.
-    A CheckedSelection is not checked again."""
-    checked = isinstance(selection, CheckedSelection)
+    """Raise InvalidSelectionError on the first clause, in order, without a
+    valid selection; otherwise return each clause's selected positions by
+    polarity, as `inferences` takes them."""
     sides = {}
     for c in clauses:
-        if c.is_ground:
-            raise ValueError(f"ground clause '{c}' in non-ground set")
-        result = (ValidationResult(False, None, "clause has no selection")
-                  if c.cid not in selection else
-                  checked or check_selection(c, selection[c.cid], o))
+        # A clause without a selection fails as the empty selection does.
+        result = validate_selection(c, selection.get(c.cid, ()), o)
         if not result:
             raise InvalidSelectionError(
-                f"invalid selection for clause '{c}': {result.describe()}")
+                f"selection not valid for clause '{c}': {result.describe()}")
         sides[c.cid] = _by_polarity(c, selection[c.cid])
     return sides
 
@@ -256,8 +253,10 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
              deadline: Optional[float] = None) -> SaturationReport:
     """Given-clause saturation with tautology and subsumption deletion.
 
-    Derived clauses get a selection via `extend` (see selection module);
-    in `error` mode any retained conclusion aborts with SelectionError.
+    Raises InvalidSelectionError unless `sel` holds a valid selection for
+    each clause of `ng`.  Derived clauses get theirs from `auto_select`
+    under the strategy `extend`; in `error` mode any retained conclusion
+    aborts with SelectionError.
     A spent budget ends it with a BUDGET_EXCEEDED report of every retained
     clause, the given one included.
     """
@@ -337,7 +336,7 @@ def saturate(ng: Iterable[Clause], sel: dict[int, frozenset[int]],
                     counts["forward_subsumed"] += 1
                     continue
                 if not concl.is_ground:
-                    selection[concl.cid] = extend_selection(concl, o, extend)
+                    selection[concl.cid] = auto_select(concl, o, extend)
                     sides[concl.cid] = _by_polarity(concl,
                                                     selection[concl.cid])
                 passive.append(concl)

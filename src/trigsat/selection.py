@@ -8,10 +8,15 @@ taking T to be the whole selection is a failing witness otherwise.
 
 Subset enumeration is exponential in the selection size, so selections are
 capped at 8 literals; real selections are far smaller.
+
+A strategy here or a file's `*` marks pick a selection; saturation
+validates it once, where it starts.  `auto_select`'s picks meet the
+condition by construction, so saturation trusts them for derived clauses.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -25,14 +30,15 @@ STRATEGIES = ("max", "maximal", "neg", "all")
 
 
 class SelectionError(Exception):
-    """A strategy could not produce a valid selection for a clause."""
+    """No selection could be picked for a clause: a strategy does not apply
+    to it, or it has no annotation.  The message names the clause unless
+    `named` is False."""
 
     def __init__(self, clause: Clause, reason: str,
-                 uncovered: Iterable[Var] = ()):
+                 uncovered: Iterable[Var] = (), named: bool = True):
         self.clause = clause
-        self.reason = reason
         self.uncovered = sorted(uncovered, key=lambda v: v.name)
-        detail = f"{reason} (clause: {clause})"
+        detail = f"{reason} (clause: {clause})" if named else reason
         if self.uncovered:
             names = ", ".join(v.name for v in self.uncovered)
             detail += f"; uncovered variables: {names}"
@@ -56,17 +62,19 @@ class ValidationResult:
 
 def validate_selection(c: Clause, sel: Iterable[int],
                        o: OrderingSpec) -> ValidationResult:
-    """Check the validity condition by enumerating every subset of sel."""
+    """Check the validity condition by enumerating every subset of sel; a
+    position outside c and a selection over the cap are invalid too."""
     positions = sorted(set(sel))
     if c.is_ground:
         raise ValueError("selection applies to non-ground clauses only")
     for p in positions:
         if not 0 <= p < len(c.literals):
-            raise ValueError(f"selected position {p} not in clause {c}")
+            return ValidationResult(
+                False, None, f"selected position {p} not in clause {c}")
     if len(positions) > MAX_SELECTED:
-        raise ValueError(
-            f"selection of {len(positions)} literals exceeds the cap of "
-            f"{MAX_SELECTED}")
+        return ValidationResult(
+            False, None, f"selection of {len(positions)} literals exceeds "
+                         f"the cap of {MAX_SELECTED}")
     cvars, pvars = c.variables, c.position_vars
     for size in range(len(positions) + 1):
         for subset in itertools.combinations(positions, size):
@@ -78,10 +86,8 @@ def validate_selection(c: Clause, sel: Iterable[int],
                 continue
             # T never removes the whole clause here: that would force
             # Vars(T) = Vars(C), which is filtered out above.
-            rest_clause = Clause(
-                tuple(l for i, l in enumerate(c.literals) if i not in t),
-                origin=c.origin)
-            needed = maximal_literals(o, rest_clause)
+            needed = maximal_literals(
+                o, [l for i, l in enumerate(c.literals) if i not in t])
             if not set(needed) <= set(rest_sel):
                 missing = cvars.difference(*(pvars[p] for p in positions))
                 if t == set(positions) and missing:
@@ -96,28 +102,6 @@ def validate_selection(c: Clause, sel: Iterable[int],
     return ValidationResult(True)
 
 
-def check_selection(c: Clause, sel: Iterable[int],
-                    o: OrderingSpec) -> ValidationResult:
-    """validate_selection, reporting an oversized or malformed selection as
-    invalid instead of raising."""
-    try:
-        return validate_selection(c, sel, o)
-    except ValueError as exc:
-        return ValidationResult(False, None, str(exc))
-
-
-class CheckedSelection(dict):
-    """Selections by clause id, each passed by `check_selection` under the
-    ordering they are saturated with, so saturation does not check them."""
-
-
-def _coverage_or_raise(c: Clause, positions: set[int], what: str) -> None:
-    missing = c.variables.difference(*(c.position_vars[p] for p in positions))
-    if missing:
-        raise SelectionError(
-            c, f"{what} does not cover all clause variables", missing)
-
-
 def auto_select(c: Clause, o: OrderingSpec, strategy: str) -> frozenset[int]:
     """Generate a selection; raises SelectionError when inapplicable.
 
@@ -125,54 +109,45 @@ def auto_select(c: Clause, o: OrderingSpec, strategy: str) -> frozenset[int]:
     maximal -> all maximal literals (validated explicitly)
     neg     -> all negative literals
     all     -> every literal (always valid when it covers the variables)
+    auto    -> the first of max, maximal, neg and all that applies
+    error   -> refuses: the default for clauses derived when annotated
     """
     if c.is_ground:
         raise ValueError("selection applies to non-ground clauses only")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown selection strategy: {strategy!r}")
+    if strategy == "error":
+        raise SelectionError(
+            c, "annotated selection has no rule for derived clause")
+    if strategy == "auto":
+        for cascaded in ("max", "maximal", "neg"):
+            with contextlib.suppress(SelectionError):
+                return auto_select(c, o, cascaded)
+        strategy = "all"
+    if strategy == "all":
+        return frozenset(range(len(c.literals)))
     if strategy == "max":
         best = maximum_literal(o, c)
         if best is None:
             raise SelectionError(c, "clause has no maximum literal")
-        positions = {c.literals.index(best)}
-        _coverage_or_raise(c, positions, "the maximum literal")
-        return frozenset(positions)
-    if strategy == "maximal":
-        values = set(maximal_literals(o, c))
+        positions, what = {c.literals.index(best)}, "the maximum literal"
+    elif strategy == "maximal":
+        values = set(maximal_literals(o, c.literals))
         positions = {i for i, l in enumerate(c.literals) if l in values}
-        _coverage_or_raise(c, positions, "the maximal literals")
-        result = check_selection(c, positions, o)
+        what = "the maximal literals"
+    elif strategy == "neg":
+        positions = {i for i, l in enumerate(c.literals) if not l.positive}
+        if not positions:
+            raise SelectionError(c, "clause has no negative literal")
+        what = "the negative literals"
+    else:
+        raise ValueError(f"unknown selection strategy: {strategy!r}")
+    missing = c.variables.difference(*(c.position_vars[p] for p in positions))
+    if missing:
+        raise SelectionError(
+            c, f"{what} does not cover all clause variables", missing)
+    if strategy == "maximal":
+        result = validate_selection(c, positions, o)
         if not result:
             raise SelectionError(
                 c, "maximal-literal selection is not valid: "
                    f"{result.describe()}")
-        return frozenset(positions)
-    if strategy == "neg":
-        positions = {i for i, l in enumerate(c.literals) if not l.positive}
-        if not positions:
-            raise SelectionError(c, "clause has no negative literal")
-        _coverage_or_raise(c, positions, "the negative literals")
-        return frozenset(positions)
-    # all
-    return frozenset(range(len(c.literals)))
-
-
-def extend_selection(c: Clause, o: OrderingSpec, mode: str) -> frozenset[int]:
-    """Selection for a clause generated during saturation.
-
-    ``auto`` cascades max -> maximal -> neg -> all; ``error`` refuses, for
-    annotated problems where silent extension would change the triggers.
-    """
-    if mode == "error":
-        raise SelectionError(
-            c, "annotated selection has no rule for derived clause")
-    if mode == "auto":
-        for strategy in ("max", "maximal", "neg", "all"):
-            try:
-                return auto_select(c, o, strategy)
-            except SelectionError:
-                continue
-        raise SelectionError(c, "no strategy produced a valid selection")
-    if mode not in STRATEGIES:
-        raise ValueError(f"unknown extension mode: {mode!r}")
-    return auto_select(c, o, mode)
+    return frozenset(positions)

@@ -114,6 +114,37 @@ class TestCheckCommands:
         assert all(l.startswith("valid") for l in proc.stdout.splitlines())
 
 
+SELECT_FILES = sorted(PROBLEMS.glob("*.p")) + sorted(CORPORA.glob("*.p"))
+
+
+class TestCheckSelectionMatchesRefusals:
+    """`check-selection` reports exactly what the other commands refuse:
+    it exits 2 just when they refuse the first clause it marks invalid,
+    with its reason."""
+
+    @pytest.mark.parametrize("select", ["annotated", "max", "maximal", "neg"])
+    @pytest.mark.parametrize("path", SELECT_FILES, ids=lambda p: p.name)
+    def test_same_first_invalid_clause(self, path, select, capsys):
+        flags = [str(path), "--select", select]
+        status = main(["check-selection", *flags])
+        invalid = [line.removeprefix("invalid: ").split(" -- ", 1)
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("invalid: ")]
+        assert (status == 2) == bool(invalid)
+        for argv in (["check-saturation", *flags],
+                     ["solve", *flags, "--max-instantiations", "300",
+                      "--max-clauses", "300", "--allow-unsaturated"]):
+            status = main(argv)
+            err = capsys.readouterr().err
+            if invalid:
+                clause, reason = invalid[0]
+                assert status == 2
+                assert err == (f"error: selection not valid for clause "
+                               f"'{clause}': {reason}\n")
+            else:
+                assert "selection not valid" not in err
+
+
 class TestVerifyModel:
     def test_verify_after_solve(self, tmp_path):
         model = tmp_path / "model.lits"

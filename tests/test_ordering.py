@@ -146,19 +146,19 @@ class TestMaximalMaximum:
         c4 = clause([lit(Atom("p", (Var("X4"),))),
                      lit(Atom("q", (Var("X4"),))),
                      lit(Atom("r", (Var("Y4"),)), False)])
-        assert maximal_literals(COUNTERSEL, c4) == \
+        assert maximal_literals(COUNTERSEL, c4.literals) == \
             [lit(Atom("r", (Var("Y4"),)), False)]
         assert maximum_literal(COUNTERSEL, c4) == \
             lit(Atom("r", (Var("Y4"),)), False)
 
     def test_incomparable_pair_has_no_maximum(self):
         c = clause([lit(Atom("p", (X, a))), lit(Atom("p", (Y, a)))])
-        assert set(maximal_literals(SUBTERM, c)) == set(c.literals)
+        assert set(maximal_literals(SUBTERM, c.literals)) == set(c.literals)
         assert maximum_literal(SUBTERM, c) is None
 
     def test_unit_clause(self):
         c = clause([lit(Atom("p", (a, a)))])
-        assert maximal_literals(WEIGHT, c) == [c.literals[0]]
+        assert maximal_literals(WEIGHT, c.literals) == [c.literals[0]]
         assert maximum_literal(WEIGHT, c) == c.literals[0]
 
     def test_duplicate_literal_never_maximum(self):
@@ -167,7 +167,7 @@ class TestMaximalMaximum:
 
     def test_empty_clause_rejected(self):
         with pytest.raises(ValueError):
-            maximal_literals(WEIGHT, Clause((), origin="input-ground"))
+            maximal_literals(WEIGHT, ())
 
 
 class TestCompareClauses:

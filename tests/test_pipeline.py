@@ -9,6 +9,7 @@ from trigsat.pipeline import (
     ContractError,
     SolveOptions,
     build_selection,
+    check_problem_saturated,
     solve_problem,
 )
 from trigsat.saturation import SaturationOutcome
@@ -21,10 +22,15 @@ class TestSelectionSetup:
             build_selection(problem, SolveOptions())
 
     def test_annotated_invalid_selection(self):
+        # Picking takes the annotation as it is; saturation refuses it.
         problem = parse_problem("*p(X) | q(X)\n")
         order = OrderingSpec(kind="weight", precedence=("q", "p"))
-        with pytest.raises(ContractError, match="selection not valid"):
-            build_selection(problem, SolveOptions(ordering=order))
+        options = SolveOptions(ordering=order)
+        assert build_selection(problem, options) == {
+            problem.theory[0].cid: frozenset({0})}
+        for command in (check_problem_saturated, solve_problem):
+            with pytest.raises(ContractError, match="selection not valid"):
+                command(problem, options)
 
     def test_auto_mode_ignores_markers(self):
         problem = parse_problem("*~p(X1, Y1) | q(f(X1), Y1)\n")
@@ -41,25 +47,34 @@ class TestSelectionSetup:
     def test_oversized_selection_is_contract_error(self):
         lits = " | ".join(f"*~p(X{i})" for i in range(1, 10))
         problem = parse_problem(lits + "\n")
-        with pytest.raises(ContractError, match="cap"):
-            build_selection(problem, SolveOptions())
+        for command in (check_problem_saturated, solve_problem):
+            with pytest.raises(ContractError, match="cap"):
+                command(problem, SolveOptions())
+
+    def test_first_bad_clause_in_file_order_is_refused(self):
+        problem = parse_problem("*p(X) | q(X)\n"
+                                "~q(Y) | *~p(Y)\n"
+                                "q(Z) | *p(Z)\n")
+        order = OrderingSpec(kind="weight", precedence=("q", "p"))
+        with pytest.raises(ContractError,
+                           match=r"^selection not valid for clause "
+                                 r"'p\(X\) \| q\(X\)'"):
+            check_problem_saturated(problem, SolveOptions(ordering=order))
 
 
 class TestSelectionChecks:
     def test_each_selection_is_checked_once_per_command(self, monkeypatch):
-        import trigsat.pipeline
         import trigsat.saturation
-        from trigsat.pipeline import check_problem_saturated
-        from trigsat.selection import check_selection
+        from trigsat.selection import validate_selection
 
         checked = []
 
         def counting(c, sel, o):
             checked.append(c.cid)
-            return check_selection(c, sel, o)
+            return validate_selection(c, sel, o)
 
-        for module in (trigsat.pipeline, trigsat.saturation):
-            monkeypatch.setattr(module, "check_selection", counting)
+        monkeypatch.setattr(trigsat.saturation, "validate_selection",
+                            counting)
         problem = parse_problem("~p(X1, Y1) | *q(f(X1), Y1)\n"
                                 "~q(X2, Y2) | *p(X2, f(Y2))\n"
                                 "~p(f(a), f(b))\n")

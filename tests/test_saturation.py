@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from trigsat.ordering import OrderingSpec
 from trigsat.saturation import _pick_given
 from trigsat.parser import parse_problem
-from trigsat.selection import check_selection
+from trigsat.selection import validate_selection
 from trigsat.saturation import (
     InvalidSelectionError,
     SaturationOutcome,
@@ -574,7 +574,7 @@ def selected_theories(draw):
     selection = {}
     for c in theory:
         sel = frozenset(draw(st.sets(st.integers(0, len(c) - 1), min_size=1)))
-        selection[c.cid] = (sel if check_selection(c, sel, o)
+        selection[c.cid] = (sel if validate_selection(c, sel, o)
                             else frozenset(range(len(c))))
     return theory, selection, o
 

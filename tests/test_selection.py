@@ -7,16 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trigsat.ordering import Comparison, OrderingSpec, compare_literals
+from trigsat.parser import parse_problem
+from trigsat.pipeline import ContractError, SolveOptions, solve_problem
 from trigsat.selection import (
     SelectionError,
     auto_select,
-    extend_selection,
     validate_selection,
 )
 from trigsat.terms import Atom, Literal, Var, const, fn, vars_of
 
 from oracles import clause
-from strategies import clauses
+from strategies import clauses, orderings, weight_orderings
 
 X1, Y1, X2, Y2 = Var("X1"), Var("Y1"), Var("X2"), Var("Y2")
 X4, Y4 = Var("X4"), Var("Y4")
@@ -63,11 +64,18 @@ class TestValidateSelection:
             validate_selection(c, {0}, WEIGHT)
 
     def test_cap_on_selection_size(self):
-        lits = [lit(Atom("p", (Var(f"V{i}"), Var(f"V{i+1}"))))
-                for i in range(9)]
-        big = clause(lits)
-        with pytest.raises(ValueError, match="cap"):
-            validate_selection(big, set(range(9)), WEIGHT)
+        # Over the cap is an invalid result, which solving refuses.
+        text = " | ".join(f"*p(V{i}, V{i + 1})" for i in range(9))
+        problem = parse_problem(text + "\n")
+        big = problem.theory[0]
+        result = validate_selection(big, set(range(9)), WEIGHT)
+        assert not result and "cap" in result.describe()
+        with pytest.raises(ContractError, match="cap"):
+            solve_problem(problem, SolveOptions())
+
+    def test_position_outside_the_clause_is_invalid(self):
+        result = validate_selection(countersel_c4(), {3}, COUNTERSEL)
+        assert not result and "not in clause" in result.describe()
 
     def test_agrees_with_bruteforce_checker(self):
         # Independent re-derivation of the condition for every subset of
@@ -164,31 +172,41 @@ class TestAutoSelect:
         assert sel == frozenset({0, 1, 2})
         assert validate_selection(c4, sel, COUNTERSEL)
 
-    @given(clauses(max_size=3), st.sampled_from(["max", "maximal", "neg", "all"]))
-    def test_successful_outputs_validate(self, c, strategy):
+    @given(clauses(max_size=3),
+           st.one_of(weight_orderings(), orderings("subterm")),
+           st.sampled_from(["max", "maximal", "neg", "all", "auto"]))
+    def test_successful_outputs_validate(self, c, order, strategy):
+        # Saturation trusts the picks for derived clauses without checking.
         if c.is_ground or len(c.literals) > 8:
             return
         try:
-            sel = auto_select(c, WEIGHT, strategy)
+            sel = auto_select(c, order, strategy)
         except SelectionError:
             return
-        assert validate_selection(c, sel, WEIGHT)
+        assert validate_selection(c, sel, order)
 
 
 class TestExtendSelection:
     def test_error_mode_refuses(self):
         c = clause([lit(Atom("p", (X1,)))])
         with pytest.raises(SelectionError, match="derived clause"):
-            extend_selection(c, WEIGHT, "error")
+            auto_select(c, WEIGHT, "error")
 
     def test_auto_cascade_lands_on_all(self):
         # p(X) | p(X) | ~r(Y): no maximum, maximal/negative miss X.
         c = clause([lit(Atom("p", (X1,))), lit(Atom("p", (X1,))),
                     lit(Atom("r", (Y1,)), False)])
-        sel = extend_selection(c, COUNTERSEL, "auto")
+        sel = auto_select(c, COUNTERSEL, "auto")
         assert sel == frozenset({0, 1, 2})
+
+    def test_auto_takes_maximal_without_a_maximum(self):
+        # p(f(X)) | p(f(X)) | r(X): a repeated literal is no maximum, and
+        # the maximal pair covers X, so r(X) stays unselected.
+        top = lit(Atom("p", (fn("f", X1),)))
+        c = clause([top, top, lit(Atom("r", (X1,)))])
+        assert auto_select(c, WEIGHT, "auto") == frozenset({0, 1})
 
     def test_auto_prefers_maximum(self):
         c7 = clause([lit(Atom("p", (X1, Y1)), False),
                      lit(Atom("p", (fn("f", X1), fn("f", Y1))))])
-        assert extend_selection(c7, WEIGHT, "auto") == frozenset({1})
+        assert auto_select(c7, WEIGHT, "auto") == frozenset({1})
