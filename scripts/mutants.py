@@ -121,12 +121,12 @@ MUTANTS = [
         for self.newest, e in enumerate(trail.entries[self._taken:],
                                         self._taken + 1):
 """,
-        (CUTS_AND_REPUSHES,)),
+        (CUTS_AND_REPUSHES, WHOLE_RUNS)),
     Mutant(
         "memo-read-without-its-stamp", "src/trigsat/cdcl.py",
         "                    if memo.get(longer, -1) >= ends[len(longer)]:\n",
         "                    if longer in memo:\n",
-        (CUTS_AND_REPUSHES,)),
+        (CUTS_AND_REPUSHES, WHOLE_RUNS)),
     Mutant(
         "cut-leaves-literals-in-candidate-lists", "src/trigsat/cdcl.py",
         """\
@@ -134,7 +134,7 @@ MUTANTS = [
                 lst.pop()
 """,
         "            pass\n",
-        (CUTS_AND_REPUSHES,)),
+        (CUTS_AND_REPUSHES, WHOLE_RUNS)),
     Mutant(
         "pass-takes-the-last-unit-clause", "src/trigsat/cdcl.py",
         "        free, i = top\n",

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import itertools
 import math
 import random
 import time
@@ -901,6 +902,62 @@ def whole_run_inputs(draw):
                     ("lazy", "eager"))), budget=budget, deadline=deadline)
 
 
+_CONSTANTS = (a, b, const("c"))
+_FLAT_ARGS = (Var("X"), Var("Y"), Var("X"), Var("Y"), *_CONSTANTS)
+
+
+@st.composite
+def memo_run_inputs(draw):
+    """Solver arguments biased toward runs whose instantiation search
+    exhausts a clause, has the trail cut below what it matched, and then
+    meets a pushed literal that makes a new match.  The theory is three to
+    six function-free clauses over a, b and c, whose selected literals
+    come first and share variables; the ground part names each atom of the
+    signature once, in short clauses, mostly negative so that the theory
+    drives the run; the instantiation cap seldom ends it first."""
+    o = draw(st.one_of(orderings("weight"), orderings("subterm")))
+
+    def literals(polarity, **kw):
+        return st.lists(st.builds(
+            lambda pred, args, positive: Literal(
+                Atom(pred, tuple(args[:PREDICATES[pred]])), positive),
+            st.sampled_from(sorted(PREDICATES)),
+            st.lists(st.sampled_from(_FLAT_ARGS), min_size=2, max_size=2),
+            polarity), unique_by=lambda l: l.atom, **kw)
+
+    theory, selection = [], {}
+    for _ in range(draw(st.integers(3, 6))):
+        # Decisions set atoms false, so positive selected literals, whose
+        # trigger patterns are negative, are the ones that match often.
+        selected = draw(literals(st.sampled_from((True, True, False)),
+                                 min_size=1, max_size=3))
+        rest = [l for l in draw(literals(st.booleans(), max_size=2))
+                if vars_of([l]) <= vars_of(selected)
+                and l.atom not in {s.atom for s in selected}]
+        c = Clause(tuple(selected + rest), origin="input-nonground")
+        if not c.is_ground:
+            theory.append(c)
+            selection[c.cid] = frozenset(range(len(selected)))
+    # Most draws put every atom there is in G from the start: a full trail
+    # then has the same length each time, and only stamps tell a literal
+    # pushed again after a cut from the one it replaced.
+    universe = [Atom(pred, args) for pred, arity in sorted(PREDICATES.items())
+                for args in itertools.product(_CONSTANTS, repeat=arity)]
+    pool = universe if draw(st.integers(0, 3)) else draw(st.lists(
+        st.sampled_from(universe), min_size=2, max_size=6, unique=True))
+    rng = draw(st.randoms(use_true_random=True))
+    todo, ground = rng.sample(pool, len(pool)), []
+    while todo:
+        size = min(rng.randint(1, 3), len(todo))
+        ground.append(Clause(tuple(Literal(todo.pop(), rng.random() < 0.25)
+                                   for _ in range(size)),
+                             origin="input-ground"))
+    return dict(ground=ground, theory=theory, selection=selection,
+                ordering=o, instantiate_mode=draw(st.sampled_from(
+                    ("lazy", "eager"))),
+                budget=Budget(max_instantiations=draw(st.integers(10, 40))))
+
+
 def _run_record(r, trace):
     """What a run must reproduce: everything but the wall time."""
     stats = dataclasses.asdict(r.stats)
@@ -922,10 +979,11 @@ q(f(a, a)) | r(f(g(b), f(a, b))) | ~r(g(b))
 class TestWholeRunsAgainstReference:
     """The engine must make `RefSolver`'s choices at every step: the same
     verdict and model, rule counts, monitor messages, trace lines and G in
-    the same order."""
+    the same order.  Half the draws come from `memo_run_inputs`, which
+    reach the cases the instantiation memo must get right."""
 
-    @settings(max_examples=300)
-    @given(whole_run_inputs())
+    @settings(max_examples=400)
+    @given(st.one_of(whole_run_inputs(), memo_run_inputs()))
     @example(dict(ground=_LEARNED_CONFLICT.ground,
                   theory=_LEARNED_CONFLICT.theory,
                   selection=_LEARNED_CONFLICT.selection,
