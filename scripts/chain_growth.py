@@ -11,8 +11,8 @@ run column is the CDCL run's own seconds (`RunStats.wall_time`, the time
 `--timeout` bounds); the seconds column is the wall time of the whole
 solve of one parsed chain: selection, saturation and the run.  The
 matches column counts the run's `match_literal` calls, which the script
-wraps in `trigsat.cdcl`; a run that matches each pattern once per new
-instance makes about two per instantiation.
+wraps in `trigsat.cdcl`; a run that never matches a returned instance
+again makes one per instantiation.
 
 Usage: python3 scripts/chain_growth.py [max_k] [--ks K,K,...]
 

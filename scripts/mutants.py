@@ -55,6 +55,8 @@ CUTS_AND_REPUSHES = ("tests/test_cdcl.py::TestCandidateListsAgainstReference"
                      "::test_same_first_instance_after_cuts_and_repushes")
 WHOLE_RUNS = ("tests/test_cdcl.py::TestWholeRunsAgainstReference"
               "::test_same_run_as_reference")
+CHAIN_WORK = ("tests/test_cdcl.py::TestWorkedRuns"
+              "::test_chain_search_work_per_instantiation_is_constant")
 MONITORS = "tests/test_cdcl.py::TestMonitorsFire::"
 PENDING = ("tests/test_cdcl.py::TestPendingAgainstScan"
            "::test_same_first_clauses_as_a_scan")
@@ -124,8 +126,8 @@ MUTANTS = [
         (CUTS_AND_REPUSHES, WHOLE_RUNS)),
     Mutant(
         "memo-read-without-its-stamp", "src/trigsat/cdcl.py",
-        "                    if memo.get(longer, -1) >= ends[len(longer)]:\n",
-        "                    if longer in memo:\n",
+        "                if seen >= ends[i + 1]:\n",
+        "                if longer in memo:\n",
         (CUTS_AND_REPUSHES, WHOLE_RUNS)),
     Mutant(
         "cut-leaves-literals-in-candidate-lists", "src/trigsat/cdcl.py",
@@ -135,6 +137,32 @@ MUTANTS = [
 """,
         "            pass\n",
         (CUTS_AND_REPUSHES, WHOLE_RUNS)),
+    Mutant(
+        "touched-list-leaves-its-clauses-clean", "src/trigsat/cdcl.py",
+        "                    self.dirty |= users\n", "",
+        (CUTS_AND_REPUSHES, WHOLE_RUNS)),
+    Mutant(
+        "clause-clean-when-its-search-returns", "src/trigsat/cdcl.py",
+        """\
+                if found is not None:
+                    return found
+            cands.dirty.discard(t)
+""",
+        """\
+                cands.dirty.discard(t)
+                if found is not None:
+                    return found
+""",
+        (CUTS_AND_REPUSHES, WHOLE_RUNS)),
+    Mutant(
+        "resume-skips-the-first-newer-candidate", "src/trigsat/cdcl.py",
+        "todo[bisect_right(todo, seen, key=itemgetter(0)):]",
+        "todo[bisect_right(todo, seen, key=itemgetter(0)) + 1:]",
+        (CUTS_AND_REPUSHES, WHOLE_RUNS)),
+    Mutant(
+        "returned-match-leaves-its-frame-unstamped", "src/trigsat/cdcl.py",
+        "                    memo[prefix] = stamp\n", "",
+        (CHAIN_WORK,)),
     Mutant(
         "pass-takes-the-last-unit-clause", "src/trigsat/cdcl.py",
         "        free, i = top\n",

@@ -28,7 +28,11 @@ Instantiation adds a new ground instance of a theory clause whose selected
 literals all have their complements on the trail (one trail literal may
 witness several selected literals); the trail then rewinds exactly as for
 a learned clause.  Lazy mode instantiates only once every atom is
-assigned; eager mode tries after every propagation fixpoint.
+assigned; eager mode tries after every propagation fixpoint.  The search
+(`Solver._search`) works only on what is new since its last call: the
+match it returns is memoized, a clean clause (exhausted, and no list of
+it touched since) is skipped, and a candidate list resumes after its
+memo stamp when that stamp covers every later list.
 
 Each rule application, and the run's end, makes one `_Monitors` call: it
 counts the rule, checks the invariants and streams the trace line.
@@ -42,7 +46,9 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sized
 
 from .ordering import OrderingSpec, atom_order_key
@@ -217,16 +223,24 @@ class _Candidates:
     """For each candidate key (`_candidate_key`), the trail literals with
     that key in trail order, as (stamp, literal) pairs.  Stamps come from
     a counter that is never reused, so a literal pushed again after a cut
-    is newer than everything stamped before."""
+    is newer than everything stamped before, and each list is in stamp
+    order.  `dirty` holds the indices of the trigger clauses whose lists
+    gained a literal since a search last exhausted them; a cut dirties
+    none, as it only takes matches away."""
 
-    def __init__(self, keys: Iterable[tuple]) -> None:
+    def __init__(self, triggers: list[list[tuple]]) -> None:
+        """`triggers`: the candidate keys of each trigger clause."""
         self.lists: dict[tuple, list[tuple[int, Literal]]] = {}
         self._by_head: dict[tuple[bool, str], list] = {}
-        for key in keys:
-            if key not in self.lists:
-                self.lists[key] = []
-                self._by_head.setdefault(key[0], []).append(
-                    (key[1], self.lists[key]))
+        users: dict[tuple, set[int]] = {}  # key -> the clauses that use it
+        for t, keys in enumerate(triggers):
+            for key in keys:
+                if key not in self.lists:
+                    self.lists[key], users[key] = [], set()
+                    self._by_head.setdefault(key[0], []).append(
+                        (key[1], self.lists[key], users[key]))
+                users[key].add(t)
+        self.dirty = set(range(len(triggers)))
         self.newest = 0  # the last stamp given
         self._taken = 0  # the trail entries taken in
 
@@ -235,10 +249,11 @@ class _Candidates:
         for e in trail.entries[self._taken:]:
             self.newest += 1
             args = e.literal.atom.args
-            for tops, lst in self._by_head.get(
+            for tops, lst, users in self._by_head.get(
                     (e.literal.positive, e.literal.atom.pred), ()):
                 if all(args[i].fn == fn for i, fn in tops):
                     lst.append((self.newest, e.literal))
+                    self.dirty |= users
         self._taken = len(trail.entries)
 
     def cut(self, trail: Trail) -> None:
@@ -444,8 +459,8 @@ class Solver:
                         for p in sorted(selection[c.cid])]
             keys = [_candidate_key(p) for p in patterns]
             self._triggers.append((c, patterns, keys, {}))
-        self._candidates = _Candidates(
-            k for _, _, keys, _ in self._triggers for k in keys)
+        self._candidates = _Candidates([keys for _, _, keys, _
+                                        in self._triggers])
         for c in ground:
             self._add_ground(c)
         self.monitors = _Monitors([*self.ground, *theory],
@@ -590,15 +605,18 @@ class Solver:
 
     def _find_new_instance(self) -> Optional[tuple[Clause, Substitution, Clause]]:
         # A pattern's candidates: the trail literals, in trail order, that
-        # share its key; no other trail literal can match it.
+        # share its key; no other trail literal can match it.  A clean
+        # clause (`_Candidates.dirty`) has no new match.
         cands = self._candidates
         cands.sync(self.trail)
-        for c, patterns, keys, memo in self._triggers:
+        for t in sorted(cands.dirty):
+            c, patterns, keys, memo = self._triggers[t]
             lists = [cands.lists[k] for k in keys]
             if all(lists):
-                result = self._search(c, patterns, lists, memo)
-                if result is not None:
-                    return result
+                found = self._search(c, patterns, lists, memo)
+                if found is not None:
+                    return found
+            cands.dirty.discard(t)
         return None
 
     def _search(self, c: Clause, patterns: list[Literal],
@@ -610,51 +628,62 @@ class Solver:
         of i of them holds its bindings and the candidates left for
         pattern i.
 
-        `memo` maps each prefix whose subtree a search finished to the
-        newest stamp then: every match under it had its instance in G, and
-        G only grows.  A literal still on the trail with a stamp no newer
-        was on the trail then, so the subtree holds no new instance while
-        no list of a later pattern ends newer.  A full match has no later
-        pattern, so it is skipped for good; the empty prefix stands for the
-        whole clause.  Only matches with their instance in G are skipped,
-        so the first new match is the one a full search finds."""
+        `memo` maps a prefix to a stamp s: every match under it whose later
+        literals are stamped s or older has its instance in G, which only
+        grows, and a trail literal stamped s or older was there when s was
+        stored.  An exhausted prefix and each full match met map to the
+        newest stamp then (the empty prefix stands for the whole clause).
+        A returned match is memoized too, and its last frame maps to the
+        match's last stamp, as `instantiate_step` adds its instance at once.
+        A prefix is skipped while no later list ends newer than its stamp;
+        a frame whose stamp covers every later list resumes its list after
+        it, by bisection, as lists are in stamp order.  An exhausted clause
+        is clean, and not searched, until a list of it gains a literal.
+        Only matches with their instance in G are skipped, so the first new
+        match is the one a full search finds."""
         newest = self._candidates.newest
         n = len(patterns)
         # ends[i]: the newest stamp in the lists of pattern i and later.
         ends = [0] * (n + 1)
         for i in reversed(range(n)):
             ends[i] = max(ends[i + 1], lists[i][-1][0])
-        if memo.get((), -1) >= ends[0]:
-            return None
-        lists = [*lists, ()]  # for the frame of a full match
-        frames = [((), {}, iter(lists[0]))]
+
+        def frame(prefix: tuple, bindings: dict, seen: int) -> tuple:
+            todo = lists[len(prefix)]
+            if seen >= ends[len(prefix) + 1]:
+                todo = todo[bisect_right(todo, seen, key=itemgetter(0)):]
+            return prefix, bindings, iter(todo)
+
+        frames = [frame((), {}, memo.get((), -1))]
         while frames:
-            if time.monotonic() > self._deadline:
-                raise BudgetExceeded("timeout exceeded")
             prefix, bindings, todo = frames[-1]
-            if len(prefix) < n:
-                pattern = patterns[len(prefix)]
-                for _, lit in todo:
-                    longer = (*prefix, lit)
-                    if memo.get(longer, -1) >= ends[len(longer)]:
-                        continue
-                    nxt = match_literal(pattern, lit, bindings)
-                    if nxt is not None:
-                        frames.append((longer, nxt, iter(lists[len(longer)])))
-                        break
-                else:
-                    frames.pop()
-                    memo[prefix] = newest
-                continue
-            frames.pop()
-            theta = Substitution(bindings)
-            instance = theta.apply_clause(c, origin="instance")
-            assert instance.is_ground, (
-                "valid selections cover all clause variables, so a full "
-                "match grounds the clause")
-            if _slim(instance).key not in self._ground_keys:
-                return c, theta, instance
-            memo[prefix] = newest
+            i = len(prefix)
+            pattern = patterns[i]
+            for stamp, lit in todo:
+                longer = (*prefix, lit)
+                seen = memo.get(longer, -1)
+                if seen >= ends[i + 1]:
+                    continue
+                nxt = match_literal(pattern, lit, bindings)
+                if nxt is None:
+                    continue
+                if time.monotonic() > self._deadline:
+                    raise BudgetExceeded("timeout exceeded")
+                if i + 1 < n:
+                    frames.append(frame(longer, nxt, seen))
+                    break
+                memo[longer] = newest
+                theta = Substitution(nxt)
+                instance = theta.apply_clause(c, origin="instance")
+                assert instance.is_ground, (
+                    "valid selections cover all clause variables, so a "
+                    "full match grounds the clause")
+                if _slim(instance).key not in self._ground_keys:
+                    memo[prefix] = stamp
+                    return c, theta, instance
+            else:
+                frames.pop()
+                memo[prefix] = newest
         return None
 
     # -- main loop -------------------------------------------------------

@@ -655,6 +655,15 @@ class TestPendingAgainstScan:
                 l.atom for c in s.ground for l in c.literals))
 
 
+def _chain_text(k):
+    """The two-clause p/q theory that walks one step of f^k(a), f^k(b) per
+    instantiation, as in scripts/chain_growth.py."""
+    s, t = "f(" * k + "a" + ")" * k, "f(" * k + "b" + ")" * k
+    return ("~p(X1, Y1) | *q(f(X1), Y1)\n"
+            "~q(X2, Y2) | *p(X2, f(Y2))\n"
+            f"~p({s}, {t})\n")
+
+
 class TestWorkedRuns:
     def run_text(self, text, **options):
         problem = parse_problem(text)
@@ -696,13 +705,10 @@ class TestWorkedRuns:
         assert result.run.stats.instantiations == 2
 
     def test_chain_matches_a_few_literals_per_instantiation(self):
-        # Matches whose instance G already holds are not matched again, so
-        # the chain's match count grows as its instantiations do.
+        # A returned match goes into the memo, and matches whose instance G
+        # already holds are not matched again, so the chain makes one match
+        # per instantiation.
         k = 60
-        s, t = "f(" * k + "a" + ")" * k, "f(" * k + "b" + ")" * k
-        text = ("~p(X1, Y1) | *q(f(X1), Y1)\n"
-                "~q(X2, Y2) | *p(X2, f(Y2))\n"
-                f"~p({s}, {t})\n")
         calls = []
 
         def counting(pattern, target, bindings=None):
@@ -710,10 +716,39 @@ class TestWorkedRuns:
             return match_literal(pattern, target, bindings)
 
         with mock.patch.object(trigsat.cdcl, "match_literal", counting):
-            result = self.run_text(text, ordering=SUBTERM)
+            result = self.run_text(_chain_text(k), ordering=SUBTERM)
         assert result.verdict_line == "sat"
         assert result.run.stats.instantiations == 2 * k
-        assert len(calls) <= 3 * result.run.stats.instantiations
+        assert len(calls) <= result.run.stats.instantiations + 2
+
+    @pytest.mark.parametrize("k", [60, 250, 1000])
+    def test_chain_search_work_per_instantiation_is_constant(self, k):
+        # Clean clauses are skipped and candidate lists resume after their
+        # memo stamp, so the memo lookups plus matches per instantiation do
+        # not grow with k.  A walk over every old candidate made about 750
+        # per instantiation at k = 1000.
+        problem = parse_problem(_chain_text(k))
+        s = Solver(ground=problem.ground, theory=problem.theory,
+                   selection=dict(problem.selection), ordering=SUBTERM)
+        work = []
+
+        class CountingMemo(dict):
+            def get(self, key, default=None):
+                work.append(key)
+                return super().get(key, default)
+
+        s._triggers = [(c, patterns, keys, CountingMemo())
+                       for c, patterns, keys, _ in s._triggers]
+
+        def counting(pattern, target, bindings=None):
+            work.append(pattern)
+            return match_literal(pattern, target, bindings)
+
+        with mock.patch.object(trigsat.cdcl, "match_literal", counting):
+            result = s.run()
+        assert result.verdict.kind == "sat"
+        assert result.stats.instantiations == 2 * k
+        assert len(work) <= 4 * result.stats.instantiations
 
     def test_conflict_and_propagate_read_a_few_literals_per_step(self):
         # The pending-clause index reads only the clause it picks, so the
