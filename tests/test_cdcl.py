@@ -938,6 +938,7 @@ def whole_run_inputs(draw):
 
 
 _CONSTANTS = (a, b, const("c"))
+# Each variable twice, so that most arguments are variables.
 _FLAT_ARGS = (Var("X"), Var("Y"), Var("X"), Var("Y"), *_CONSTANTS)
 
 
@@ -946,10 +947,11 @@ def memo_run_inputs(draw):
     """Solver arguments biased toward runs whose instantiation search
     exhausts a clause, has the trail cut below what it matched, and then
     meets a pushed literal that makes a new match.  The theory is three to
-    six function-free clauses over a, b and c, whose selected literals
-    come first and share variables; the ground part names each atom of the
-    signature once, in short clauses, mostly negative so that the theory
-    drives the run; the instantiation cap seldom ends it first."""
+    six function-free clauses over a, b and c whose selected literals come
+    first and cover their variables.  The ground part is short clauses of
+    mostly negative literals, so that the theory drives the run, that name
+    each atom of its pool once; the instantiation cap seldom ends the run
+    first."""
     o = draw(st.one_of(orderings("weight"), orderings("subterm")))
 
     def literals(polarity, **kw):
